@@ -127,10 +127,11 @@ def hpd_unimodal(dist: PosteriorDistribution, level: float) -> CredibleInterval:
     and the mode; for each lo a nested root find locates the matching
     hi > mode with equal density; the outer objective
     cdf(hi) - cdf(lo) - level is strictly decreasing in lo. The initial lo
-    bracket is [quantile(1e-6), quantile(alpha)] and is widened once on
-    failure. If the density is monotone (mode on the support boundary) the
-    HPD region is one-sided; a one-sided interval is returned with a
-    warning.
+    bracket is [quantile(eps), quantile(alpha)] with
+    eps = min(1e-6, alpha * 1e-3), and its left edge is pushed a factor
+    1e-3 further into the tail once on failure. If the density is
+    monotone (mode on the support boundary) the HPD region is one-sided;
+    a one-sided interval is returned with a warning.
     """
     _check_level(level)
     alpha = 1.0 - level
@@ -160,7 +161,8 @@ def hpd_unimodal(dist: PosteriorDistribution, level: float) -> CredibleInterval:
         hi = _solve_upper_crossing(dist, dist.logpdf(lo), mode, upper_hint)
         return dist.cdf(hi) - dist.cdf(lo) - level
 
-    eps_lo = 1e-6
+    # the left edge must lie deeper in the tail than alpha at every level
+    eps_lo = min(1e-6, alpha * 1e-3)
     lo_lo = dist.quantile(eps_lo)
     lo_hi = dist.quantile(alpha)
     for attempt in range(2):

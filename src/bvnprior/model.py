@@ -245,13 +245,47 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     X1 = mu1 + sigma1 Z1, X2 = mu2 + sigma2 (rho Z1 + sqrt(1-rho^2) Z2).
     Returns an (n, 2) array.
     """
+    return _sample_stack(p, n, [seed])[0]
+
+
+def _sample_stack(p: OriginalParams, n: int, seeds) -> np.ndarray:
+    """Draw one dataset per seed as an (R, n, 2) stack.
+
+    Slice j uses its own generator default_rng(seeds[j]) and is
+    bit-identical to sample(p, n, seeds[j]).
+    """
     if n < 1:
         raise DomainError("sample requires n >= 1")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, 2))
-    x1 = p.mu1 + p.sigma1 * z[:, 0]
-    x2 = p.mu2 + p.sigma2 * (p.rho * z[:, 0] + math.sqrt(1.0 - p.rho * p.rho) * z[:, 1])
-    return np.column_stack([x1, x2])
+    z = np.empty((len(seeds), n, 2))
+    for j, seed in enumerate(seeds):
+        np.random.default_rng(seed).standard_normal(out=z[j])
+    x1 = p.mu1 + p.sigma1 * z[..., 0]
+    x2 = p.mu2 + p.sigma2 * (p.rho * z[..., 0] + math.sqrt(1.0 - p.rho * p.rho) * z[..., 1])
+    return np.stack([x1, x2], axis=-1)
+
+
+def _centered_sums(x1, x2):
+    """Means and centered sums over the last (observation) axis.
+
+    Returns (xbar1, xbar2, s11, s22, s12, s22_1) as arrays shaped like the
+    leading axes. s22_1 is summed from the regression residuals
+    d2 - (s12/s11) d1 rather than taken as s22 - s12^2/s11, which cancels
+    catastrophically for nearly collinear data. On exactly collinear data
+    the residuals are rounding noise, so s22_1 is set to 0 where it is at
+    most n * eps * s22; it is nan where s11 = 0.
+    """
+    xbar1 = x1.mean(axis=-1)
+    xbar2 = x2.mean(axis=-1)
+    d1 = x1 - xbar1[..., None]
+    d2 = x2 - xbar2[..., None]
+    s11 = (d1 * d1).sum(axis=-1)
+    s22 = (d2 * d2).sum(axis=-1)
+    s12 = (d1 * d2).sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resid = d2 - (s12 / s11)[..., None] * d1
+    s22_1 = (resid * resid).sum(axis=-1)
+    s22_1 = np.where(s22_1 <= x1.shape[-1] * np.finfo(float).eps * s22, 0.0, s22_1)
+    return xbar1, xbar2, s11, s22, s12, s22_1
 
 
 def sufficient_stats(data) -> SufficientStats:
@@ -269,16 +303,9 @@ def sufficient_stats(data) -> SufficientStats:
     n = arr.shape[0]
     if n < 3:
         raise DegenerateDataError("inference needs n >= 3 observations")
-    xbar1 = float(arr[:, 0].mean())
-    xbar2 = float(arr[:, 1].mean())
-    d1 = arr[:, 0] - xbar1
-    d2 = arr[:, 1] - xbar2
-    s11 = float(d1 @ d1)
-    s22 = float(d2 @ d2)
-    s12 = float(d1 @ d2)
+    xbar1, xbar2, s11, s22, s12, s22_1 = map(float, _centered_sums(arr[:, 0], arr[:, 1]))
     if s11 <= 0.0:
         raise DegenerateDataError("all x1 values coincide (s11 = 0)")
-    s22_1 = s22 - s12 * s12 / s11
     if s22_1 <= 0.0:
         raise DegenerateDataError("pairs are exactly collinear (s22.1 = 0)")
     return SufficientStats(

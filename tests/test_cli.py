@@ -171,9 +171,21 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     missing = tmp_path / "missing.csv"
     assert run_cli(capsys, "stats", "--input", str(missing))[0] == 3
 
+    code, _, err = run_cli(capsys, "stats", "--input", str(tmp_path))  # a directory
+    assert code == 3
+    assert "error:" in err
+
     collinear = tmp_path / "line.csv"
     collinear.write_text("x1,x2\n0,1\n1,3\n2,5\n3,7\n")
     code, _, err = run_cli(capsys, "stats", "--input", str(collinear))
+    assert code == 3
+    assert "collinear" in err
+
+    inexact = tmp_path / "inexact_line.csv"
+    inexact.write_text(
+        "x1,x2\n" + "".join(f"{x!r},{0.3 * x + 0.1!r}\n" for x in (0.1, 0.7, 1.3, 2.9, 3.3))
+    )
+    code, _, err = run_cli(capsys, "stats", "--input", str(inexact))
     assert code == 3
     assert "collinear" in err
 

@@ -18,8 +18,16 @@ from bvnprior.coverage import (
     run_cell,
     run_table,
 )
-from bvnprior.errors import DomainError
-from bvnprior.model import OriginalParams
+import bvnprior.coverage as coverage
+from bvnprior.errors import DegenerateDataError, DomainError
+from bvnprior.model import (
+    OriginalParams,
+    _sample_stack,
+    sample,
+    sufficient_stats,
+    to_orthogonal,
+)
+from bvnprior.numerics import reg_inc_beta, reg_inc_gamma_c, student_t_cdf
 
 
 def test_replicate_seed_is_a_fixed_function():
@@ -126,6 +134,11 @@ def test_run_table_worker_count_does_not_change_output():
     assert serial.to_markdown() == parallel.to_markdown()
 
 
+def test_run_table_rejects_fewer_than_one_worker():
+    with pytest.raises(DomainError):
+        run_table(rhos=(0.5,), ns=(4,), replicates=50, workers=0)
+
+
 def test_csv_format():
     report = run_table(rhos=(0.5,), ns=(4, 8), replicates=150, seed=3)
     rows = list(csv.reader(io.StringIO(report.to_csv())))
@@ -184,3 +197,90 @@ def test_ks_uniformity_rejects_failed_cell():
 def test_run_table_rejects_empty_grid():
     with pytest.raises(DomainError):
         run_table(rhos=(), ns=(4,), replicates=200)
+
+
+def test_sample_stack_matches_one_draw_per_seed():
+    p = OriginalParams(1.0, -2.0, 0.5, 3.0, -0.7)
+    seeds = [replicate_seed(DEFAULT_SEED, 4, j) for j in range(5)] + [0, 2**64 - 1]
+    stack = _sample_stack(p, 6, seeds)
+    assert stack.shape == (len(seeds), 6, 2)
+    for j, seed in enumerate(seeds):
+        single = sample(p, 6, seed)
+        assert single.shape == (6, 2)
+        assert np.array_equal(stack[j], single)
+
+
+def _reference_cell(spec, cell_index):
+    """Replicate-by-replicate coverage cell from the public model functions."""
+    base = OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho)
+    truth = to_orthogonal(base)
+    beta_b, theta_b, eta_b = coverage._standardized_bounds(spec.n, spec.level, spec.kind)
+    nu = spec.n - 2
+    hits = {"beta": 0, "theta": 0, "eta": 0}
+    cdf = {"beta": [], "theta": [], "eta": []}
+    failures = 0
+    for j in range(spec.replicates):
+        data = sample(base, spec.n, replicate_seed(spec.seed, cell_index, j))
+        try:
+            st = sufficient_stats(data)
+        except DegenerateDataError:
+            failures += 1
+            continue
+        m = st.s12 / st.s11
+        s = math.sqrt(st.s22_1 / (nu * st.s11))
+        r = math.sqrt(st.s11 * st.s22_1)
+        c = st.s22_1 / st.s11
+        hits["beta"] += m + s * beta_b[0] <= truth.beta <= m + s * beta_b[1]
+        hits["theta"] += r * theta_b[0] <= truth.theta <= r * theta_b[1]
+        hits["eta"] += math.sqrt(c) * eta_b[0] <= truth.eta <= math.sqrt(c) * eta_b[1]
+        cdf["beta"].append(student_t_cdf(nu, (truth.beta - m) / s))
+        cdf["theta"].append(reg_inc_gamma_c(nu, r / truth.theta))
+        z = truth.eta**2 / (truth.eta**2 + c)
+        cdf["eta"].append(reg_inc_beta((spec.n - 1) / 2.0, nu / 2.0, z))
+    return hits, cdf, failures
+
+
+@pytest.mark.parametrize(
+    "rho, n, kind",
+    [(0.5, 4, "hpd"), (0.75, 20, "hpd"), (0.25, 8, "lower_one_sided")],
+)
+def test_run_cell_matches_replicate_by_replicate_reference(rho, n, kind):
+    spec = CoverageCellSpec(rho=rho, n=n, replicates=300, kind=kind, seed=41)
+    cell = run_cell(spec, cell_index=6)
+    hits, cdf, failures = _reference_cell(spec, 6)
+    assert cell.failures == failures
+    assert cell.replicates_used == spec.replicates - failures
+    for param in ("beta", "theta", "eta"):
+        assert round(cell.coverage[param] * cell.replicates_used) == hits[param]
+        np.testing.assert_allclose(cell.cdf_values[param], cdf[param], rtol=0, atol=1e-12)
+
+
+def test_run_cell_chunks_replicates(monkeypatch):
+    # a chunk of 3 replicates at n = 4 must give the single-chunk result
+    spec = CoverageCellSpec(rho=0.5, n=4, replicates=101, seed=8)
+    whole = run_cell(spec, 2)
+    monkeypatch.setattr(coverage, "_CHUNK_NORMALS", 3 * 2 * spec.n)
+    chunked = run_cell(spec, 2)
+    assert chunked.coverage == whole.coverage
+    for param in ("beta", "theta", "eta"):
+        assert np.array_equal(chunked.cdf_values[param], whole.cdf_values[param])
+
+
+def test_repeated_table_reuses_standardized_bounds(monkeypatch):
+    calls = []
+    for name in ("hpd_unimodal", "equal_tailed", "one_sided"):
+        solver = getattr(coverage, name)
+
+        def counted(*args, _solver=solver, **kwargs):
+            calls.append(_solver)
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(coverage, name, counted)
+    coverage._standardized_bounds.cache_clear()
+    grid = dict(rhos=(0.25, 0.5), ns=(4, 8), replicates=100, seed=2)
+    first = run_table(**grid)
+    assert len(calls) == 2 * 2  # theta and eta at each n
+    del calls[:]
+    second = run_table(**grid)
+    assert calls == []
+    assert second.to_csv() == first.to_csv()

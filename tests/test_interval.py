@@ -72,12 +72,16 @@ def test_hpd_beta_matches_oracle_and_generic_solver():
 
 
 @pytest.mark.parametrize("param", ["beta", "theta", "precision_w", "eta"])
-@pytest.mark.parametrize("level", [0.9, 0.95, 0.99])
+@pytest.mark.parametrize("level", [0.9, 0.95, 0.99, 1.0 - 1e-9])
 def test_hpd_mass_and_endpoint_density(param, level):
     dist = _dist(param)
     iv = hpd_beta(REF, level) if param == "beta" else hpd_unimodal(dist, level)
-    assert abs(iv.achieved_mass - level) < 1e-6
-    assert abs(dist.cdf(iv.hi) - dist.cdf(iv.lo) - level) < 1e-6
+    # 1e-6 absolute at the usual levels; near level 1 the excluded tail
+    # mass alpha itself must be right to 0.1%
+    tol = min(1e-6, 1e-3 * (1.0 - level))
+    assert iv.kind == "hpd"
+    assert abs(iv.achieved_mass - level) < tol
+    assert abs(dist.cdf(iv.hi) - dist.cdf(iv.lo) - level) < tol
     flo, fhi = dist.pdf(iv.lo), dist.pdf(iv.hi)
     assert abs(flo - fhi) <= 1e-6 * max(flo, fhi)
 

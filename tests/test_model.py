@@ -253,6 +253,30 @@ def test_sufficient_stats_rejects_small_or_degenerate_samples():
     x1 = np.array([0.0, 1.0, 2.0, 3.0])
     with pytest.raises(DegenerateDataError):
         sufficient_stats(np.column_stack([x1, 2.0 * x1 + 1.0]))
+    # a line whose coefficients are not exact in binary leaves residuals of
+    # rounding size (about 1e-32 here), which still count as zero
+    x1 = np.array([0.1, 0.7, 1.3, 2.9, 3.3, 5.17])
+    with pytest.raises(DegenerateDataError):
+        sufficient_stats(np.column_stack([x1, 0.3 * x1 + 0.1]))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_residual_sum_of_squares_survives_near_collinearity(seed):
+    # rho = 0.99999999 with means at 1e6: s22 - s12^2/s11 loses about 1e-8
+    # relative accuracy to cancellation, the residual sum of squares keeps it
+    mpmath = pytest.importorskip("mpmath")
+    data = sample(OriginalParams(1e6, 1e6, 1.0, 1.0, 0.99999999), 50, seed=seed)
+    with mpmath.workdps(50):
+        x1 = [mpmath.mpf(float(v)) for v in data[:, 0]]
+        x2 = [mpmath.mpf(float(v)) for v in data[:, 1]]
+        m1 = mpmath.fsum(x1) / len(x1)
+        m2 = mpmath.fsum(x2) / len(x2)
+        s11 = mpmath.fsum((a - m1) ** 2 for a in x1)
+        s22 = mpmath.fsum((b - m2) ** 2 for b in x2)
+        s12 = mpmath.fsum((a - m1) * (b - m2) for a, b in zip(x1, x2))
+        exact = s22 - s12 * s12 / s11
+        rel = abs(sufficient_stats(data).s22_1 - exact) / exact
+    assert float(rel) < 1e-11
 
 
 def test_dataset_round_trip_through_file(tmp_path):
