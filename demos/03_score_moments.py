@@ -11,9 +11,10 @@ expectations of log-density derivatives, such as
 
 This demo re-derives each number by brute force: draw a million
 observations, differentiate the log density at every one of them, and
-average. Every estimate must land within four Monte Carlo standard
-errors of the closed form (plus a small finite-difference budget for the
-identically-zero cases).
+average. The derivatives are exact closed forms, so every estimate must
+land within four Monte Carlo standard errors of the claim, and a
+derivative that vanishes identically (d^3 log f / d beta^3) averages to
+exactly zero.
 """
 
 from bvnprior import OrthogonalParams, verify_score_moments

@@ -23,7 +23,7 @@ from .errors import (
     DomainError,
     NumericalError,
 )
-from .interval import equal_tailed, hpd_beta, hpd_unimodal, one_sided
+from .interval import equal_tailed, hpd_unimodal, one_sided
 from .matching import (
     FLAT_PRIOR,
     MATCHING_PRIOR,
@@ -157,18 +157,15 @@ def _cmd_posterior(args) -> int:
 
 
 def _cmd_interval(args) -> int:
-    st = _read_stats(args.input)
+    dist = _POSTERIORS[args.param](_read_stats(args.input))
     if args.kind == "hpd":
-        if args.param == "beta":
-            iv = hpd_beta(st, args.level)
-        else:
-            iv = hpd_unimodal(_POSTERIORS[args.param](st), args.level)
+        iv = hpd_unimodal(dist, args.level)
     elif args.kind == "equal_tailed":
-        iv = equal_tailed(_POSTERIORS[args.param](st), args.level)
+        iv = equal_tailed(dist, args.level)
     elif args.kind == "upper_one_sided":
-        iv = one_sided(_POSTERIORS[args.param](st), args.level, "upper")
+        iv = one_sided(dist, args.level, "upper")
     else:
-        iv = one_sided(_POSTERIORS[args.param](st), args.level, "lower")
+        iv = one_sided(dist, args.level, "lower")
     _write_text(args.output, iv.to_json(indent=2) + "\n")
     return 0
 

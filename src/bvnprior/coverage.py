@@ -19,19 +19,18 @@ so the random stream is the one a replicate-by-replicate loop would use,
 and reduces them to sufficient statistics with array operations. Chunks
 hold about _CHUNK_NORMALS normal draws, which bounds memory at large n.
 
-Interval construction exploits exact equivariance: given the sufficient
-statistics, theta/r with r = sqrt(S11 S22.1) and eta/sqrt(S22.1/S11)
-have fixed standardized posteriors depending only on n, and beta is
-location-scale t. The standardized interval problem is solved once per
-(n, level, kind) and memoized in the process (the 1024 most recent
-keys), and each replicate's interval is a rescaling of it, which yields
-the identical intervals at a fraction of the cost.
+Interval construction uses the pivot structure of the posteriors: each
+parameter is location + scale * Z, where pivot() maps every replicate's
+statistics to (location, scale) at once and the law of Z depends only on
+n. The intervals in Z units come from interval.standard_bounds, the
+memoized solver the interval API uses too, so each replicate's interval
+is the one hpd_unimodal / equal_tailed / one_sided would return, and
+the posterior CDF at the truth is the family CDF of the true Z.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -40,22 +39,20 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import stats as _sp_stats
 
-from . import numerics
 from .errors import BvnPriorError, DegenerateDataError, DomainError
-from .interval import equal_tailed, hpd_unimodal, one_sided
+from .interval import standard_bounds
 # sample and sufficient_stats are not called here; they stay bound in
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
 from .model import (
     OriginalParams,
-    SufficientStats,
     _centered_sums,
     _sample_stack,
     sample,  # noqa: F401
     sufficient_stats,  # noqa: F401
     to_orthogonal,
 )
-from .posterior import eta_posterior, theta_posterior
+from .posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 __all__ = [
     "DEFAULT_SEED",
@@ -77,7 +74,8 @@ DEFAULT_SEED = 20250815
 TABLE_RHOS = (0.25, 0.5, 0.75)
 TABLE_NS = (4, 8, 12, 16, 20)
 
-_PARAMS = ("beta", "theta", "eta")
+_POSTERIORS = {"beta": BetaPosterior, "theta": ThetaPosterior, "eta": EtaPosterior}
+_PARAMS = tuple(_POSTERIORS)
 _KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
 
 _MASK64 = (1 << 64) - 1
@@ -220,51 +218,6 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
-def _standardized_stats(n: int) -> SufficientStats:
-    return SufficientStats(n=n, xbar1=0.0, xbar2=0.0, s11=1.0, s22=1.0, s12=0.0, s22_1=1.0)
-
-
-@functools.lru_cache(maxsize=1024)
-def _standardized_bounds(n: int, level: float, kind: str):
-    """Interval endpoints in pivot units, one pair per parameter.
-
-    beta bounds multiply the posterior scale and add to the location;
-    theta bounds multiply r = sqrt(S11 S22.1); eta bounds multiply
-    sqrt(S22.1/S11). Memoized: the result depends only on the arguments,
-    and a table run repeats the same few keys.
-    """
-    nu = n - 2
-    std = _standardized_stats(n)
-    theta_std = theta_posterior(std)
-    eta_std = eta_posterior(std)
-    if kind == "hpd":
-        t_hi = numerics.student_t_quantile(nu, 0.5 + level / 2.0)
-        beta_b = (-t_hi, t_hi)
-        th = hpd_unimodal(theta_std, level)
-        et = hpd_unimodal(eta_std, level)
-        theta_b = (th.lo, th.hi)
-        eta_b = (et.lo, et.hi)
-    elif kind == "equal_tailed":
-        alpha = 1.0 - level
-        beta_b = (
-            numerics.student_t_quantile(nu, alpha / 2.0),
-            numerics.student_t_quantile(nu, 1.0 - alpha / 2.0),
-        )
-        th = equal_tailed(theta_std, level)
-        et = equal_tailed(eta_std, level)
-        theta_b = (th.lo, th.hi)
-        eta_b = (et.lo, et.hi)
-    elif kind == "upper_one_sided":
-        beta_b = (-math.inf, numerics.student_t_quantile(nu, level))
-        theta_b = (0.0, one_sided(theta_std, level, "upper").hi)
-        eta_b = (0.0, one_sided(eta_std, level, "upper").hi)
-    else:  # lower_one_sided
-        beta_b = (numerics.student_t_quantile(nu, 1.0 - level), math.inf)
-        theta_b = (one_sided(theta_std, level, "lower").lo, math.inf)
-        eta_b = (one_sided(eta_std, level, "lower").lo, math.inf)
-    return beta_b, theta_b, eta_b
-
-
 def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     """Run one coverage cell.
 
@@ -274,8 +227,6 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     """
     base = replace(spec.params_base, rho=spec.rho)
     truth = to_orthogonal(base)
-    nu = spec.n - 2
-    beta_b, theta_b, eta_b = _standardized_bounds(spec.n, spec.level, spec.kind)
 
     per_chunk = max(1, _CHUNK_NORMALS // (2 * spec.n))
     kept = []
@@ -291,27 +242,18 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     failures = spec.replicates - used
     if used == 0:
         raise DegenerateDataError("every replicate was degenerate")
-    m = s12 / s11
-    s = np.sqrt(s22_1 / (nu * s11))
-    r = np.sqrt(s11 * s22_1)
-    c = s22_1 / s11
-    sq = np.sqrt(c)
 
-    hits = {
-        "beta": (truth.beta >= m + s * beta_b[0]) & (truth.beta <= m + s * beta_b[1]),
-        "theta": (truth.theta >= r * theta_b[0]) & (truth.theta <= r * theta_b[1]),
-        "eta": (truth.eta >= sq * eta_b[0]) & (truth.eta <= sq * eta_b[1]),
-    }
+    hits, cdf_values = {}, {}
+    for param, posterior in _POSTERIORS.items():
+        location, scale = posterior.pivot(spec.n, s11, s12, s22_1)
+        lo, hi = standard_bounds(posterior.family, spec.n, spec.level, spec.kind)
+        value = getattr(truth, param)
+        hits[param] = (value >= location + scale * lo) & (value <= location + scale * hi)
+        cdf_values[param] = np.asarray(posterior.family.cdf(spec.n, (value - location) / scale))
     coverage = {p: float(np.mean(hits[p])) for p in _PARAMS}
     stderr = {
         p: float(math.sqrt(max(coverage[p] * (1.0 - coverage[p]), 1e-12) / used))
         for p in _PARAMS
-    }
-    z = truth.eta ** 2 / (truth.eta ** 2 + c)
-    cdf_values = {
-        "beta": np.asarray(numerics.student_t_cdf(nu, (truth.beta - m) / s)),
-        "theta": np.asarray(numerics.reg_inc_gamma_c(nu, r / truth.theta)),
-        "eta": np.asarray(numerics.reg_inc_beta((spec.n - 1) / 2.0, nu / 2.0, z)),
     }
     return CellResult(
         rho=spec.rho,

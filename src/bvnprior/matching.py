@@ -438,12 +438,6 @@ _MOMENTS = (
     ("E[d3l/deta3]", "third", (0, 0, 3), lambda t, e: 3.0 / e ** 3),
 )
 
-# absolute floor added to the 4-sigma band: nested finite differences leave
-# a deterministic O(h^2) + rounding residue ~1e-8 per sample, which would
-# otherwise fail claims whose integrand is identically zero (stderr ~ 0)
-_FD_ERROR_BUDGET = 1e-6
-
-
 def verify_score_moments(
     params: OrthogonalParams,
     n_samples: int = 1_000_000,
@@ -453,8 +447,9 @@ def verify_score_moments(
 
     Draws n_samples observations from the model at params and averages the
     corresponding product of log-density derivatives for each identity.
-    A check passes when |estimate - claim| <= 4 * stderr + 1e-6, the last
-    term being the documented finite-difference error budget.
+    The derivatives are exact (model.log_density_partial), so a check
+    passes when |estimate - claim| <= 4 * stderr; an identically zero
+    integrand gives estimate 0 with stderr 0.
     """
     if n_samples < 100_000:
         raise DomainError("verify_score_moments needs n_samples >= 100000")
@@ -475,7 +470,7 @@ def verify_score_moments(
         estimate = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
         claimed = claim(t, e)
-        passed = abs(estimate - claimed) <= 4.0 * stderr + _FD_ERROR_BUDGET
+        passed = abs(estimate - claimed) <= 4.0 * stderr
         checks.append(
             ExpectationCheck(
                 label=label,

@@ -1,10 +1,11 @@
-"""Special functions, root finding, and quadrature used by every other module.
+"""Special functions and root finding used by every other module.
 
 Thin, validated wrappers around scipy primitives plus the Student-t
 CDF/quantile pair built from the regularized incomplete beta function.
-Keeping them behind one surface pins down domains, error types, and the
-change of variables used for infinite-range integrals, and gives the rest
-of the package a single place to swap implementations.
+Keeping them behind one surface pins down domains and error types, and
+gives the rest of the package a single place to swap implementations.
+Every posterior quantity is a closed form in these functions; the
+adaptive quadrature `integrate` is not called by the package.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "Bracket",
     "QuadratureResult",
     "log_gamma",
+    "log_beta",
     "reg_inc_gamma",
     "reg_inc_gamma_c",
     "reg_inc_gamma_inv",
@@ -73,6 +75,18 @@ def log_gamma(a):
         raise DomainError("log_gamma requires a > 0")
     out = _sp.gammaln(a_arr)
     return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
+
+
+def log_beta(a, b):
+    """Natural log of the beta function B(a, b) for a, b > 0. Accepts arrays."""
+    a_arr = np.asarray(a, dtype=float)
+    b_arr = np.asarray(b, dtype=float)
+    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0) or np.any(
+        ~np.isfinite(b_arr)
+    ) or np.any(b_arr <= 0.0):
+        raise DomainError("log_beta requires a > 0 and b > 0")
+    out = _sp.betaln(a_arr, b_arr)
+    return float(out) if np.isscalar(a) and np.isscalar(b) else out
 
 
 def reg_inc_gamma(a, x):
@@ -215,6 +229,8 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     return float(root)
 
 
+# kept although nothing in the package calls it: bench/spans.py wraps
+# numerics.integrate (and reads QuadratureResult.evaluations) by name
 def integrate(
     f: Callable[[float], float],
     lo: float,

@@ -8,15 +8,21 @@ likelihood leaves the joint posterior
         ~ theta^-n eta^-1 exp{ -Q(beta)/(2 theta eta) - eta S11/(2 theta) }
 
 with Q(beta) = S22 - 2 beta S12 + beta^2 S11 = S22.1 + S11 (beta - S12/S11)^2.
-Each marginal then comes out in closed form:
+Each marginal is an exact pivot: the parameter equals location + scale * Z,
+where (location, scale) come from the sufficient statistics and the law of
+Z is a standard family that depends only on n:
 
-  * beta   : Student t, df n-2, location S12/S11,
-             scale sqrt(S22.1 / ((n-2) S11)).
-  * theta  : inverted gamma, density ~ theta^-(n-1) exp(-r/theta) with
-             r = sqrt(S11 S22.1), normalized by r^(n-2)/Gamma(n-2).
-  * w=1/theta : gamma with shape n-2 and rate r.
-  * eta    : density ~ eta^(n-2) (eta^2 + S22.1/S11)^-(n-3/2); its CDF is
-             I_z((n-1)/2, (n-2)/2) at z = x^2 S11 / (x^2 S11 + S22.1).
+  * beta      : Z ~ Student t with n-2 df,
+                (location, scale) = (S12/S11, sqrt(S22.1 / ((n-2) S11))).
+  * theta     : Z ~ inverted gamma with shape n-2 and scale 1, scale r,
+                r = sqrt(S11 S22.1).
+  * w=1/theta : Z ~ gamma with shape n-2 and rate 1, scale 1/r.
+  * eta       : Z^2 ~ beta-prime((n-1)/2, (n-2)/2), scale sqrt(c),
+                c = S22.1/S11; Z^2/(1 + Z^2) is beta((n-1)/2, (n-2)/2).
+
+PosteriorDistribution writes the location-scale algebra once; each subclass
+declares its StandardFamily and its pivot, both of which accept arrays of
+statistics, so the coverage engine uses the same definitions replicate-wise.
 
 A note on the beta scale: the 1/S11 factor inside the scale is easy to drop
 when simplifying Q(beta)/S11, and dropping it silently destroys the
@@ -28,14 +34,17 @@ coverage simulation both confirm.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateDataError, DomainError, NumericalError
+from .errors import DegenerateDataError, DomainError
 from .model import SufficientStats
 
 __all__ = [
+    "StandardFamily",
     "PosteriorDistribution",
     "BetaPosterior",
     "ThetaPosterior",
@@ -63,310 +72,210 @@ def _check_level_prob(p):
         raise DomainError("probabilities must lie strictly inside (0, 1)")
 
 
+def _like(out, x):
+    """float for a scalar argument x, the array otherwise."""
+    return float(out) if np.isscalar(x) else out
+
+
+@dataclass(frozen=True, eq=False)
+class StandardFamily:
+    """Law of the pivot Z as functions of the sample size n.
+
+    log_norm(n) + log_kernel(n, z) is the log density of Z on (lower, inf);
+    cdf(n, z) and quantile(n, p) accept arrays; mean(n) is None where the
+    mean does not exist. symmetric families have the HPD interval
+    -+ quantile(1/2 + level/2). Instances hash by identity, so they key
+    the interval memo.
+    """
+
+    log_norm: Callable
+    log_kernel: Callable
+    cdf: Callable
+    quantile: Callable
+    mode: Callable
+    mean: Callable
+    lower: float = 0.0
+    symmetric: bool = False
+
+
+def _eta_log_beta(n):
+    return numerics.log_beta((n - 1) / 2.0, (n - 2) / 2.0)
+
+
+def _eta_quantile(n, p):
+    u = np.asarray(numerics.reg_inc_beta_inv((n - 1) / 2.0, (n - 2) / 2.0, p))
+    with np.errstate(divide="ignore"):
+        return np.sqrt(u / (1.0 - u))
+
+
+STUDENT_T = StandardFamily(
+    log_norm=lambda n: (
+        numerics.log_gamma((n - 1) / 2.0) - numerics.log_gamma((n - 2) / 2.0)
+        - 0.5 * math.log((n - 2) * math.pi)
+    ),
+    log_kernel=lambda n, z: -0.5 * (n - 1) * np.log1p(z * z / (n - 2)),
+    cdf=lambda n, z: numerics.student_t_cdf(n - 2, z),
+    quantile=lambda n, p: numerics.student_t_quantile(n - 2, p),
+    mode=lambda n: 0.0,
+    mean=lambda n: 0.0 if n > 3 else None,
+    lower=-math.inf,
+    symmetric=True,
+)
+
+INVERSE_GAMMA = StandardFamily(
+    log_norm=lambda n: -numerics.log_gamma(n - 2),
+    log_kernel=lambda n, z: -(n - 1) * np.log(z) - 1.0 / z,
+    cdf=lambda n, z: numerics.reg_inc_gamma_c(n - 2, 1.0 / z),
+    quantile=lambda n, p: 1.0 / np.asarray(numerics.reg_inc_gamma_c_inv(n - 2, p)),
+    mode=lambda n: 1.0 / (n - 1),
+    mean=lambda n: 1.0 / (n - 3) if n > 3 else None,
+)
+
+GAMMA = StandardFamily(
+    log_norm=lambda n: -numerics.log_gamma(n - 2),
+    log_kernel=lambda n, z: (n - 3) * np.log(z) - z,
+    cdf=lambda n, z: numerics.reg_inc_gamma(n - 2, z),
+    quantile=lambda n, p: numerics.reg_inc_gamma_inv(n - 2, p),
+    # monotone decreasing density when n = 3 (shape 1): boundary mode
+    mode=lambda n: float(max(n - 3, 0)),
+    mean=lambda n: float(n - 2),
+)
+
+SQRT_BETA_PRIME = StandardFamily(
+    log_norm=lambda n: math.log(2.0) - _eta_log_beta(n),
+    log_kernel=lambda n, z: (n - 2) * np.log(z) - (n - 1.5) * np.log1p(z * z),
+    cdf=lambda n, z: numerics.reg_inc_beta(
+        (n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (z * z))
+    ),
+    quantile=_eta_quantile,
+    mode=lambda n: math.sqrt((n - 2) / (n - 1)),
+    mean=lambda n: (
+        math.exp(numerics.log_beta(n / 2.0, (n - 3) / 2.0) - _eta_log_beta(n)) if n > 3 else None
+    ),
+)
+
+
 class PosteriorDistribution:
-    """Common surface of the four marginal posteriors.
+    """One marginal posterior, location + scale * Z.
 
     Attributes
     ----------
     param_id : one of "beta", "theta", "precision_w", "eta".
     stats : the SufficientStats the posterior was built from.
-    log_norm : log of the normalizing constant entering logpdf.
+    location, scale : the pivot map at stats.
+    family : the StandardFamily of Z (class attribute).
 
-    Methods pdf/logpdf/cdf accept scalars or arrays; quantile accepts
-    probabilities in [0, 1]; mode() and support() describe the shape.
+    Subclasses declare family and pivot(n, s11, s12, s22_1), which returns
+    (location, scale) and accepts arrays of statistics. Methods
+    pdf/logpdf/cdf/quantile accept scalars or arrays; mode() and mean()
+    describe the shape.
     """
 
     param_id: str = ""
+    family: StandardFamily
+
+    @staticmethod
+    def pivot(n, s11, s12, s22_1):
+        raise NotImplementedError
 
     def __init__(self, stats: SufficientStats):
         _check_stats(stats)
         self.stats = stats
-        self.log_norm = 0.0
-
-    # concrete classes override logpdf, cdf, quantile, mode, support
-
-    def pdf(self, x):
-        lp = self.logpdf(x)
-        with np.errstate(over="ignore"):
-            out = np.exp(lp)
-        return float(out) if np.isscalar(lp) else out
+        location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
+        self.location, self.scale = float(location), float(scale)
+        self._log_norm = self.family.log_norm(stats.n) - math.log(self.scale)
 
     def support(self):
-        return (0.0, math.inf)
+        return (self.location + self.scale * self.family.lower, math.inf)
 
-    def _as_support_array(self, x):
+    def _z(self, x):
         arr = np.asarray(x, dtype=float)
         if np.any(np.isnan(arr)):
             raise DomainError("argument must not be NaN")
-        return arr
+        return (arr - self.location) / self.scale
+
+    def logpdf(self, x):
+        z = self._z(x)
+        inside = z > self.family.lower
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            kernel = self.family.log_kernel(self.stats.n, np.where(inside, z, 1.0))
+        return _like(np.where(inside, self._log_norm + kernel, -math.inf), x)
+
+    def pdf(self, x):
+        with np.errstate(over="ignore"):
+            return _like(np.exp(self.logpdf(x)), x)
+
+    def cdf(self, x):
+        z = np.maximum(self._z(x), self.family.lower)
+        with np.errstate(divide="ignore"):
+            return _like(self.family.cdf(self.stats.n, z), x)
+
+    def quantile(self, p):
+        _check_level_prob(p)
+        z = np.asarray(self.family.quantile(self.stats.n, p), dtype=float)
+        return _like(self.location + self.scale * z, p)
+
+    def mode(self):
+        return self.location + self.scale * self.family.mode(self.stats.n)
+
+    def mean(self):
+        m = self.family.mean(self.stats.n)
+        return None if m is None else self.location + self.scale * m
 
 
 class BetaPosterior(PosteriorDistribution):
     """Marginal posterior of the regression slope: a location-scale t."""
 
     param_id = "beta"
+    family = STUDENT_T
 
-    def __init__(self, stats: SufficientStats):
-        super().__init__(stats)
-        self.df = stats.n - 2
-        self.location = stats.s12 / stats.s11
-        self.scale = math.sqrt(stats.s22_1 / (self.df * stats.s11))
-        # log of the t normalizing constant divided by the scale
-        self.log_norm = (
-            numerics.log_gamma((self.df + 1) / 2.0)
-            - numerics.log_gamma(self.df / 2.0)
-            - 0.5 * math.log(self.df * math.pi)
-            - math.log(self.scale)
-        )
+    @staticmethod
+    def pivot(n, s11, s12, s22_1):
+        return s12 / s11, np.sqrt(s22_1 / ((n - 2) * s11))
 
-    def support(self):
-        return (-math.inf, math.inf)
-
-    def logpdf(self, x):
-        arr = self._as_support_array(x)
-        t = (arr - self.location) / self.scale
-        out = self.log_norm - 0.5 * (self.df + 1) * np.log1p(t * t / self.df)
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = self._as_support_array(x)
-        out = numerics.student_t_cdf(self.df, (arr - self.location) / self.scale)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, p):
-        _check_level_prob(p)
-        out = self.location + self.scale * np.asarray(
-            numerics.student_t_quantile(self.df, p), dtype=float
-        )
-        return float(out) if np.isscalar(p) else out
-
-    def mode(self):
-        return self.location
-
-    def mean(self):
-        return self.location if self.df > 1 else None
-
-
-class PrecisionPosterior(PosteriorDistribution):
-    """Marginal posterior of w = 1/theta: gamma, shape n-2, rate r."""
-
-    param_id = "precision_w"
-
-    def __init__(self, stats: SufficientStats):
-        super().__init__(stats)
-        self.shape = stats.n - 2
-        self.rate = math.sqrt(stats.s11 * stats.s22_1)
-        self.log_norm = self.shape * math.log(self.rate) - numerics.log_gamma(self.shape)
-
-    def logpdf(self, x):
-        arr = self._as_support_array(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                arr > 0.0,
-                self.log_norm + (self.shape - 1) * np.log(np.maximum(arr, 1e-300))
-                - self.rate * arr,
-                -math.inf,
-            )
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = self._as_support_array(x)
-        out = numerics.reg_inc_gamma(self.shape, self.rate * np.maximum(arr, 0.0))
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, p):
-        _check_level_prob(p)
-        out = np.asarray(numerics.reg_inc_gamma_inv(self.shape, p), dtype=float) / self.rate
-        return float(out) if np.isscalar(p) else out
-
-    def mode(self):
-        # monotone decreasing density when n = 3 (shape 1): boundary mode
-        return (self.shape - 1) / self.rate if self.shape > 1 else 0.0
-
-    def mean(self):
-        return self.shape / self.rate
+    @property
+    def df(self) -> int:
+        return self.stats.n - 2
 
 
 class ThetaPosterior(PosteriorDistribution):
     """Marginal posterior of theta: density ~ theta^-(n-1) exp(-r/theta)."""
 
     param_id = "theta"
+    family = INVERSE_GAMMA
 
-    def __init__(self, stats: SufficientStats):
-        super().__init__(stats)
-        self.shape = stats.n - 2
-        self.rate = math.sqrt(stats.s11 * stats.s22_1)
-        self.log_norm = self.shape * math.log(self.rate) - numerics.log_gamma(self.shape)
+    @staticmethod
+    def pivot(n, s11, s12, s22_1):
+        return 0.0, np.sqrt(s11 * s22_1)
 
-    def logpdf(self, x):
-        arr = self._as_support_array(x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            safe = np.maximum(arr, 1e-300)
-            out = np.where(
-                arr > 0.0,
-                self.log_norm - (self.shape + 1) * np.log(safe) - self.rate / safe,
-                -math.inf,
-            )
-        return float(out) if np.isscalar(x) else out
 
-    def cdf(self, x):
-        """P(theta <= x) = Q(n-2, r/x); complements the w CDF exactly."""
-        arr = self._as_support_array(x)
-        with np.errstate(divide="ignore"):
-            ratio = np.where(arr > 0.0, self.rate / np.maximum(arr, 1e-300), math.inf)
-        out = numerics.reg_inc_gamma_c(self.shape, ratio)
-        return float(out) if np.isscalar(x) else out
+class PrecisionPosterior(PosteriorDistribution):
+    """Marginal posterior of w = 1/theta: gamma, shape n-2, rate r."""
 
-    def quantile(self, p):
-        _check_level_prob(p)
-        p_arr = np.asarray(p, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = self.rate / np.asarray(
-                numerics.reg_inc_gamma_c_inv(self.shape, p_arr), dtype=float
-            )
-        return float(out) if np.isscalar(p) else out
+    param_id = "precision_w"
+    family = GAMMA
 
-    def mode(self):
-        return self.rate / (self.stats.n - 1)
-
-    def mean(self):
-        return self.rate / (self.shape - 1) if self.shape > 1 else None
+    @staticmethod
+    def pivot(n, s11, s12, s22_1):
+        return 0.0, 1.0 / np.sqrt(s11 * s22_1)
 
 
 class EtaPosterior(PosteriorDistribution):
     """Marginal posterior of eta, the conditional-to-marginal spread ratio.
 
-    Density ~ eta^(n-2) (eta^2 + c)^-(n-3/2) with c = S22.1/S11. The
-    normalizer is computed by adaptive quadrature of the kernel. The CDF
-    has the closed incomplete-beta form
-    F(x) = I_z((n-1)/2, (n-2)/2), z = x^2 S11/(x^2 S11 + S22.1);
-    it is used as an accelerated path only after agreeing with the
-    quadrature CDF to 1e-8 at construction time, otherwise cdf/quantile
-    fall back to quadrature plus root finding.
+    Density ~ eta^(n-2) (eta^2 + c)^-(n-3/2) with c = S22.1/S11, so
+    eta = sqrt(c) Z with Z^2 beta-prime((n-1)/2, (n-2)/2): the normalizer
+    is 2 / B(a, b) in Z units, the CDF is I_u(a, b) at
+    u = Z^2/(1 + Z^2), and the mean is sqrt(c) B(a+1/2, b-1/2)/B(a, b)
+    for n >= 4.
     """
 
     param_id = "eta"
+    family = SQRT_BETA_PRIME
 
-    _AGREEMENT_TOL = 1e-8
-    _AGREEMENT_PROBS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
-
-    def __init__(self, stats: SufficientStats, accelerate: bool | None = None):
-        super().__init__(stats)
-        self.c = stats.s22_1 / stats.s11
-        self._a = (stats.n - 1) / 2.0
-        self._b = (stats.n - 2) / 2.0
-        self._mode = math.sqrt(self.c * (stats.n - 2) / (stats.n - 1))
-        # normalize by quadrature, shifted so the peak of the kernel is O(1)
-        self._log_shift = self._log_kernel(self._mode)
-        norm = numerics.integrate(
-            lambda x: math.exp(self._log_kernel(x) - self._log_shift), 0.0, math.inf,
-            tol=1e-12,
-        )
-        self._norm_scaled = norm.value
-        self.log_norm = -(self._log_shift + math.log(norm.value))
-        if accelerate is None:
-            self._accelerated = self._closed_form_agrees()
-        else:
-            self._accelerated = bool(accelerate)
-
-    @property
-    def accelerated(self) -> bool:
-        """Whether cdf/quantile use the closed incomplete-beta path."""
-        return self._accelerated
-
-    def _log_kernel(self, x):
-        arr = np.asarray(x, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            safe = np.maximum(arr, 1e-300)
-            out = np.where(
-                arr > 0.0,
-                (self.stats.n - 2) * np.log(safe)
-                - (self.stats.n - 1.5) * np.log(safe * safe + self.c),
-                -math.inf,
-            )
-        return float(out) if np.isscalar(x) else out
-
-    def _closed_cdf(self, arr):
-        x2s = arr * arr * self.stats.s11
-        z = np.where(arr > 0.0, x2s / (x2s + self.stats.s22_1), 0.0)
-        return numerics.reg_inc_beta(self._a, self._b, z)
-
-    def _quadrature_cdf_scalar(self, x):
-        if x <= 0.0:
-            return 0.0
-        part = numerics.integrate(
-            lambda s: math.exp(self._log_kernel(s) - self._log_shift), 0.0, float(x),
-            tol=1e-12,
-        )
-        return min(1.0, part.value / self._norm_scaled)
-
-    def _closed_form_agrees(self) -> bool:
-        for p in self._AGREEMENT_PROBS:
-            z = numerics.reg_inc_beta_inv(self._a, self._b, p)
-            if z <= 0.0 or z >= 1.0:
-                continue
-            x = math.sqrt(self.c * z / (1.0 - z))
-            try:
-                gap = abs(self._quadrature_cdf_scalar(x) - float(self._closed_cdf(np.asarray(x))))
-            except NumericalError:
-                return False
-            if gap > self._AGREEMENT_TOL:
-                return False
-        return True
-
-    def logpdf(self, x):
-        arr = self._as_support_array(x)
-        out = self._log_kernel(arr) + self.log_norm
-        return float(out) if np.isscalar(x) else out
-
-    def cdf(self, x):
-        arr = self._as_support_array(x)
-        if self._accelerated:
-            out = self._closed_cdf(np.asarray(arr))
-        else:
-            out = np.vectorize(self._quadrature_cdf_scalar, otypes=[float])(arr)
-        out = np.asarray(out)
-        return float(out) if np.isscalar(x) else out
-
-    def quantile(self, p):
-        _check_level_prob(p)
-
-        def one(prob):
-            if prob == 0.0:
-                return 0.0
-            if prob == 1.0:
-                return math.inf
-            if self._accelerated:
-                z = numerics.reg_inc_beta_inv(self._a, self._b, prob)
-                return math.sqrt(self.c * z / (1.0 - z))
-            hi = self._mode if self._mode > 0 else 1.0
-            while self._quadrature_cdf_scalar(hi) < prob:
-                hi *= 2.0
-                if hi > 1e12:
-                    raise NumericalError("eta quantile bracket expansion failed")
-            bracket = numerics.Bracket(0.0, hi)
-            return numerics.find_root(
-                lambda s: self._quadrature_cdf_scalar(s) - prob, bracket,
-                tol=1e-13 * max(1.0, hi),
-            )
-
-        if np.isscalar(p):
-            return one(float(p))
-        return np.array([one(float(q)) for q in np.asarray(p, dtype=float).ravel()]).reshape(
-            np.asarray(p).shape
-        )
-
-    def mode(self):
-        return self._mode
-
-    def mean(self):
-        if self.stats.n < 4:
-            return None
-        val = numerics.integrate(
-            lambda x: x * math.exp(self._log_kernel(x) - self._log_shift), 0.0, math.inf,
-            tol=1e-12,
-        )
-        return val.value / self._norm_scaled
+    @staticmethod
+    def pivot(n, s11, s12, s22_1):
+        return 0.0, np.sqrt(s22_1 / s11)
 
 
 def beta_posterior(stats: SufficientStats) -> BetaPosterior:
@@ -384,7 +293,6 @@ def precision_posterior(stats: SufficientStats) -> PrecisionPosterior:
     return PrecisionPosterior(stats)
 
 
-def eta_posterior(stats: SufficientStats, accelerate: bool | None = None) -> EtaPosterior:
-    """Marginal posterior of eta; accelerate=None lets the construction-time
-    agreement check decide whether the closed-form CDF may be used."""
-    return EtaPosterior(stats, accelerate=accelerate)
+def eta_posterior(stats: SufficientStats) -> EtaPosterior:
+    """Marginal posterior of eta (scaled square root of a beta-prime)."""
+    return EtaPosterior(stats)

@@ -19,7 +19,9 @@ from bvnprior.coverage import (
     run_table,
 )
 import bvnprior.coverage as coverage
+import bvnprior.interval as interval
 from bvnprior.errors import DegenerateDataError, DomainError
+from bvnprior.interval import standard_bounds
 from bvnprior.model import (
     OriginalParams,
     _sample_stack,
@@ -28,6 +30,7 @@ from bvnprior.model import (
     to_orthogonal,
 )
 from bvnprior.numerics import reg_inc_beta, reg_inc_gamma_c, student_t_cdf
+from bvnprior.posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 
 def test_replicate_seed_is_a_fixed_function():
@@ -214,7 +217,10 @@ def _reference_cell(spec, cell_index):
     """Replicate-by-replicate coverage cell from the public model functions."""
     base = OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho)
     truth = to_orthogonal(base)
-    beta_b, theta_b, eta_b = coverage._standardized_bounds(spec.n, spec.level, spec.kind)
+    beta_b, theta_b, eta_b = (
+        standard_bounds(cls.family, spec.n, spec.level, spec.kind)
+        for cls in (BetaPosterior, ThetaPosterior, EtaPosterior)
+    )
     nu = spec.n - 2
     hits = {"beta": 0, "theta": 0, "eta": 0}
     cdf = {"beta": [], "theta": [], "eta": []}
@@ -268,15 +274,14 @@ def test_run_cell_chunks_replicates(monkeypatch):
 
 def test_repeated_table_reuses_standardized_bounds(monkeypatch):
     calls = []
-    for name in ("hpd_unimodal", "equal_tailed", "one_sided"):
-        solver = getattr(coverage, name)
+    solver = interval._solve_hpd
 
-        def counted(*args, _solver=solver, **kwargs):
-            calls.append(_solver)
-            return _solver(*args, **kwargs)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solver(*args, **kwargs)
 
-        monkeypatch.setattr(coverage, name, counted)
-    coverage._standardized_bounds.cache_clear()
+    monkeypatch.setattr(interval, "_solve_hpd", counted)
+    standard_bounds.cache_clear()
     grid = dict(rhos=(0.25, 0.5), ns=(4, 8), replicates=100, seed=2)
     first = run_table(**grid)
     assert len(calls) == 2 * 2  # theta and eta at each n

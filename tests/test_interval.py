@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bvnprior.errors import BracketError, DomainError
 from bvnprior.interval import (
@@ -19,6 +21,7 @@ from bvnprior.interval import (
     hpd_beta,
     hpd_unimodal,
     one_sided,
+    standard_bounds,
 )
 from bvnprior.model import SufficientStats
 from bvnprior.posterior import (
@@ -84,6 +87,85 @@ def test_hpd_mass_and_endpoint_density(param, level):
     assert abs(dist.cdf(iv.hi) - dist.cdf(iv.lo) - level) < tol
     flo, fhi = dist.pdf(iv.lo), dist.pdf(iv.hi)
     assert abs(flo - fhi) <= 1e-6 * max(flo, fhi)
+
+
+@pytest.mark.parametrize("param", ["theta", "precision_w", "eta"])
+def test_hpd_at_level_one_minus_1e14(param):
+    # the right-end search starts at quantile(1 - tail); the tail must not
+    # round 1 - tail to 1.0 when alpha is about 1e-14
+    dist = _dist(param)
+    level = 1.0 - 1e-14
+    iv = hpd_unimodal(dist, level)
+    assert iv.kind == "hpd"
+    assert abs(iv.achieved_mass - level) <= 1e-15
+    assert abs(dist.cdf(iv.hi) - dist.cdf(iv.lo) - level) <= 1e-15
+    assert abs(dist.logpdf(iv.lo) - dist.logpdf(iv.hi)) <= 1e-9
+
+
+@pytest.mark.parametrize("param", ["theta", "precision_w", "eta"])
+@pytest.mark.parametrize("level", [0.8, 0.95, 0.99])
+def test_hpd_contracts_hold_at_large_n(param, level):
+    # in pivot units theta is about 1/n, so the HPD root finds must stop
+    # relative to the bracket, not at an absolute 1e-13
+    n = 20000
+    st = SufficientStats(
+        n=n, xbar1=0.0, xbar2=0.0, s11=float(n), s22=1.25 * n, s12=0.5 * n, s22_1=float(n)
+    )
+    dist = {
+        "theta": theta_posterior,
+        "precision_w": precision_posterior,
+        "eta": eta_posterior,
+    }[param](st)
+    iv = hpd_unimodal(dist, level)
+    assert abs(iv.achieved_mass - level) <= 1e-10
+    assert abs(dist.logpdf(iv.lo) - dist.logpdf(iv.hi)) <= 1e-9
+
+
+KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
+
+
+def _solve(dist, level, kind):
+    if kind == "hpd":
+        return hpd_unimodal(dist, level)
+    if kind == "equal_tailed":
+        return equal_tailed(dist, level)
+    return one_sided(dist, level, kind.split("_")[0])
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    param=hs.sampled_from(["beta", "theta", "precision_w", "eta"]),
+    n=hs.integers(4, 20000),
+    level=hs.floats(0.5, 0.9999),
+    kind=hs.sampled_from(KINDS),
+    log_s11=hs.floats(-4.0, 4.0),
+    log_s22_1=hs.floats(-4.0, 4.0),
+    slope_in_scales=hs.floats(-1e3, 1e3),
+)
+def test_intervals_rescale_the_standard_bounds(
+    param, n, level, kind, log_s11, log_s22_1, slope_in_scales
+):
+    s11, s22_1 = 10.0**log_s11, 10.0**log_s22_1
+    # the slope posterior sits this many of its scales from 0; far more
+    # and its endpoints round to multiples of eps * |location|
+    slope = slope_in_scales * math.sqrt(s22_1 / ((n - 2) * s11))
+    st = SufficientStats(
+        n=n, xbar1=0.0, xbar2=0.0, s11=s11, s22=s22_1 + slope * slope * s11,
+        s12=slope * s11, s22_1=s22_1,
+    )
+    dist = {
+        "beta": beta_posterior,
+        "theta": theta_posterior,
+        "precision_w": precision_posterior,
+        "eta": eta_posterior,
+    }[param](st)
+    iv = _solve(dist, level, kind)
+    lo, hi = standard_bounds(dist.family, n, level, kind)
+    assert (iv.lo, iv.hi) == (dist.location + dist.scale * lo, dist.location + dist.scale * hi)
+    assert iv.achieved_mass == dist.cdf(iv.hi) - dist.cdf(iv.lo)
+    assert abs(iv.achieved_mass - level) <= 1e-9
+    if kind == "hpd":
+        assert abs(dist.logpdf(iv.lo) - dist.logpdf(iv.hi)) <= 1e-9
 
 
 def test_hpd_is_narrower_than_equal_tailed():

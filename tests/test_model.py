@@ -153,6 +153,29 @@ def test_log_density_partial_against_plain_differences(multi_index, tol):
     assert got == pytest.approx(ref, rel=tol, abs=tol)
 
 
+MULTI_INDICES = [
+    (i, k, j) for i in range(4) for k in range(4) for j in range(4) if 1 <= i + k + j <= 3
+]
+
+
+@pytest.mark.parametrize("multi_index", MULTI_INDICES, ids=str)
+def test_log_density_partial_matches_symbolic_derivative(multi_index):
+    sympy = pytest.importorskip("sympy")
+    b, t, e, x1, x2 = sympy.symbols("beta theta eta x1 x2")
+    u = x2 - POINT.mu2 - b * (x1 - POINT.mu1)
+    v = x1 - POINT.mu1
+    log_f = -sympy.log(2 * sympy.pi * t) - u**2 / (2 * t * e) - e * v**2 / (2 * t)
+    derivative = sympy.diff(log_f, b, multi_index[0], t, multi_index[1], e, multi_index[2])
+    xs1 = np.array([1.2, -2.5, 0.0, 7.75])
+    xs2 = np.array([-0.4, 3.1, 0.0, -6.0])
+    got = log_density_partial(POINT, xs1, xs2, multi_index)
+    for a1, a2, value in zip(xs1, xs2, got):
+        point = {b: POINT.beta, t: POINT.theta, e: POINT.eta, x1: a1, x2: a2}
+        ref = float(derivative.evalf(30, subs=point))
+        assert value == pytest.approx(ref, rel=1e-12, abs=1e-12)
+    assert len(MULTI_INDICES) == 19
+
+
 def test_log_density_partial_validates_multi_index():
     with pytest.raises(DomainError):
         log_density_partial(POINT, 0.0, 0.0, (0, 0, 0))

@@ -16,6 +16,7 @@ from bvnprior.numerics import (
     Bracket,
     find_root,
     integrate,
+    log_beta,
     log_gamma,
     reg_inc_beta,
     reg_inc_beta_inv,
@@ -33,6 +34,12 @@ LOG_GAMMA_REF = {
     3.7: 1.4280723266653879219,
     12.0: 17.502307845873885839,
     120.5: 455.41760044623451043,
+}
+LOG_BETA_REF = {
+    (4.5, 4.0): -5.3037712172305004904,
+    (0.5, 0.5): 1.1447298858494001741,
+    (310.5, 309.0): -431.0048265256481912,
+    (1500.0, 1499.5): -2081.4858577846058485,
 }
 REG_INC_GAMMA_REF = {
     (3.0, 3.0): 0.57680991887315648468,
@@ -67,6 +74,16 @@ def test_log_gamma_rejects_nonpositive():
         log_gamma(0.0)
     with pytest.raises(DomainError):
         log_gamma(-2.5)
+
+
+def test_log_beta_reference_values_and_domain():
+    for (a, b), ref in LOG_BETA_REF.items():
+        assert log_beta(a, b) == pytest.approx(ref, rel=1e-14)
+    out = log_beta(np.array([4.5, 0.5]), np.array([4.0, 0.5]))
+    assert out == pytest.approx([LOG_BETA_REF[4.5, 4.0], LOG_BETA_REF[0.5, 0.5]], rel=1e-14)
+    for a, b in ((0.0, 1.0), (1.0, -2.0), (math.inf, 1.0), (1.0, math.nan)):
+        with pytest.raises(DomainError):
+            log_beta(a, b)
 
 
 def test_reg_inc_gamma_reference_values():

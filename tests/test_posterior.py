@@ -6,17 +6,23 @@ integrates the rest numerically with scipy.integrate.quad, so it shares
 no code with the closed forms under test.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bvnprior.cli import main
 from bvnprior.errors import DomainError
-from bvnprior.model import OriginalParams, sample, sufficient_stats
+from bvnprior.model import (
+    OriginalParams,
+    read_dataset,
+    sample,
+    sufficient_stats,
+    write_dataset,
+)
 from bvnprior.posterior import (
-    BetaPosterior,
-    EtaPosterior,
     beta_posterior,
     eta_posterior,
     precision_posterior,
@@ -150,19 +156,44 @@ def test_eta_mean_against_quadrature():
     assert ed.mean() == pytest.approx(mean, rel=1e-8)
 
 
-def test_eta_quadrature_route_agrees_with_closed_form():
-    fast = eta_posterior(REF, accelerate=True)
-    slow = eta_posterior(REF, accelerate=False)
-    for x in (0.2, 0.5, 0.8, 1.3):
-        assert slow.cdf(x) == pytest.approx(fast.cdf(x), abs=1e-9)
-    for p in (0.05, 0.5, 0.95):
-        assert slow.quantile(p) == pytest.approx(fast.quantile(p), rel=1e-8)
+def _eta_mean_by_mpmath(st):
+    """Posterior mean of eta by 30-digit quadrature of the kernel.
+
+    Breakpoints every mode/sqrt(n) for 12 steps on each side of the mode
+    keep the quadrature on the peak however narrow it is.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        c = mpmath.mpf(st.s22_1) / mpmath.mpf(st.s11)
+        mode = mpmath.sqrt(c * (st.n - 2) / (st.n - 1))
+
+        def log_kernel(x):
+            return (st.n - 2) * mpmath.log(x) - (st.n - mpmath.mpf(1.5)) * mpmath.log(x * x + c)
+
+        peak = log_kernel(mode)
+        step = mode / mpmath.sqrt(st.n)
+        points = [mode + j * step for j in range(-12, 13)]
+        points = [0] + [x for x in points if x > 0] + [mpmath.inf]
+        mass = mpmath.quad(lambda x: mpmath.exp(log_kernel(x) - peak), points)
+        first = mpmath.quad(lambda x: x * mpmath.exp(log_kernel(x) - peak), points)
+        return float(first / mass)
 
 
-def test_eta_auto_acceleration_picks_closed_form():
-    ed = eta_posterior(REF)
-    assert isinstance(ed, EtaPosterior)
-    assert ed.accelerated is True
+def test_eta_mean_of_a_narrow_posterior():
+    # n = 3000 gives an eta posterior about 1% wide, around sqrt(c) ~ 95
+    st = sufficient_stats(sample(OriginalParams(0.0, 0.0, 0.05, 5.0, 0.3), 3000, seed=1))
+    expected = _eta_mean_by_mpmath(st)
+    assert eta_posterior(st).mean() == pytest.approx(expected, rel=1e-10)
+
+
+def test_eta_posterior_of_near_collinear_data_through_the_cli(tmp_path, capsys):
+    data = sample(OriginalParams(1e6, 1e6, 1.0, 1.0, 0.99999999), 620, seed=3)
+    path = tmp_path / "collinear.csv"
+    write_dataset(path, data)
+    assert main(["posterior", "--input", str(path), "--param", "eta"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = _eta_mean_by_mpmath(sufficient_stats(read_dataset(path)))
+    assert payload["mean"] == pytest.approx(expected, rel=1e-10)
 
 
 def test_quantile_cdf_round_trips():
