@@ -222,8 +222,8 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     """Run one coverage cell.
 
     Replicates with degenerate data (s11 <= 0 or s22_1 <= 0) are counted
-    as failures and excluded from the denominator; interval root-finding
-    retries with widened brackets live inside the HPD solver itself.
+    as failures and excluded from the denominator. The interval bounds
+    come from interval.standard_bounds, once per (family, n, level, kind).
     """
     base = replace(spec.params_base, rho=spec.rho)
     truth = to_orthogonal(base)

@@ -3,7 +3,7 @@
 The command-line interface maps these onto exit codes: usage problems are
 handled by argparse itself, :class:`DomainError` and
 :class:`DegenerateDataError` exit with code 3, :class:`NumericalError`
-with code 4.
+and :class:`BracketError` with code 4.
 """
 
 from __future__ import annotations

@@ -7,13 +7,15 @@ equivariant under that map. standard_bounds therefore solves each
 1024 most recent keys), and the interval API and the coverage engine
 both rescale it.
 
-The HPD solve exploits that every family here is strictly unimodal: for
-a given left endpoint lo below the mode there is exactly one right
-endpoint hi above the mode with equal density, and the enclosed mass
-decreases strictly as lo moves up toward the mode. It runs a scalar root
-find on lo with a nested root find for hi, both via the bracketed hybrid
-in numerics.find_root. A symmetric family (the slope's t) needs no root
-find: its HPD interval is -+ quantile(1/2 + level/2).
+Every kind is a tail split: with alpha = 1 - level, the interval leaves
+mass p below and alpha - p above, (quantile(p), isf(alpha - p)).
+Equal-tailed takes p = alpha/2, upper one-sided p = 0 and lower
+one-sided p = alpha. An interval of a strictly unimodal density is the
+shortest of its mass (HPD) exactly where its end densities are equal, so
+the HPD split is the one root of log_kernel(lo) - log_kernel(hi), which
+runs from -inf (p -> 0) to +inf (p -> alpha). One bracketed root find on
+s = log(p / (alpha - p)) locates it. The symmetric t needs none: its HPD
+split is p = alpha/2.
 """
 
 from __future__ import annotations
@@ -24,8 +26,10 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import numerics
-from .errors import BracketError, DomainError, NumericalError
+from .errors import DomainError
 from .model import SufficientStats
 from .posterior import PosteriorDistribution, StandardFamily, beta_posterior
 
@@ -93,77 +97,28 @@ def _check_level(level: float):
         raise DomainError("level must lie strictly between 0 and 1")
 
 
-def _solve_upper_crossing(logpdf, target_logpdf, mode, hint):
-    """Rightmost point above the mode where logpdf crosses target_logpdf."""
-    hi = max(hint, mode + 1e-12 * max(1.0, abs(mode)))
-    span = max(hi - mode, 1e-8 * max(1.0, abs(mode)))
-    for _ in range(200):
-        if logpdf(hi) < target_logpdf:
-            break
-        span *= 2.0
-        hi = mode + span
-    else:
-        raise NumericalError("could not bracket the upper HPD endpoint")
-    bracket = numerics.Bracket(mode, hi)
-    tol = 1e-13 * max(abs(mode), abs(hi))
-    return numerics.find_root(lambda x: logpdf(x) - target_logpdf, bracket, tol=tol)
+def _solve_hpd(family: StandardFamily, n: int, alpha: float) -> float:
+    """Lower tail mass p of the HPD interval of a strictly unimodal family.
 
-
-def _solve_hpd(family: StandardFamily, n: int, level: float):
-    """HPD endpoints of a strictly unimodal standard family.
-
-    Outer root find on the left endpoint lo between the lower support end
-    and the mode; for each lo a nested root find locates the matching
-    hi > mode with equal density; the outer objective
-    cdf(hi) - cdf(lo) - level is strictly decreasing in lo. The initial lo
-    bracket is [quantile(eps), quantile(alpha)] with
-    eps = min(1e-6, alpha * 1e-3), and its left edge is pushed a factor
-    1e-3 further into the tail once on failure. The search for hi starts
-    at the quantile 1 - max(min(1e-7, alpha * 1e-3), 2^-52), or at the mode
-    if that quantile is not finite. Both root finds stop at 1e-13 relative
-    to their bracket, since Z itself may be far from 1 (theta's is ~1/n).
+    The objective log_kernel(quantile(p)) - log_kernel(isf(alpha - p)) is
+    negative below the HPD split and positive above it. It is solved on
+    s = log(p / (alpha - p)) from the bracket [-1, 1], each end doubled
+    until the sign is right; past |s| = 512 the split is out of reach and
+    find_root reports the bracket.
     """
-    alpha = 1.0 - level
-    mode = family.mode(n)
 
-    def logpdf(z):
-        return family.log_kernel(n, z)
+    def gap(s):
+        p = alpha / (1.0 + math.exp(-s))
+        lo, hi = family.quantile(n, p), family.isf(n, alpha - p)
+        return float(family.log_kernel(n, lo) - family.log_kernel(n, hi))
 
-    def cdf(z):
-        return family.cdf(n, z)
-
-    def quantile(p):
-        return float(family.quantile(n, p))
-
-    upper_hint = quantile(1.0 - max(min(1e-7, alpha * 1e-3), 2.0 ** -52))
-    if not math.isfinite(upper_hint):
-        upper_hint = mode
-
-    def objective(lo):
-        hi = _solve_upper_crossing(logpdf, logpdf(lo), mode, upper_hint)
-        return cdf(hi) - cdf(lo) - level
-
-    # the left edge must lie deeper in the tail than alpha at every level
-    eps_lo = min(1e-6, alpha * 1e-3)
-    lo_lo = quantile(eps_lo)
-    lo_hi = quantile(alpha)
-    for attempt in range(2):
-        try:
-            if objective(lo_lo) < 0.0:
-                raise BracketError("left edge of the lo bracket already under-covers")
-            lo = numerics.find_root(
-                objective,
-                numerics.Bracket(lo_lo, lo_hi),
-                tol=1e-13 * max(abs(lo_lo), abs(lo_hi)),
-            )
-            break
-        except (BracketError, NumericalError):
-            if attempt == 1:
-                raise
-            # widen once: push the left edge further into the tail
-            eps_lo *= 1e-3
-            lo_lo = quantile(eps_lo)
-    return lo, _solve_upper_crossing(logpdf, logpdf(lo), mode, upper_hint)
+    s_lo, s_hi = -1.0, 1.0
+    while not gap(s_lo) < 0.0 and s_lo > -512.0:
+        s_lo *= 2.0
+    while not gap(s_hi) > 0.0 and s_hi < 512.0:
+        s_hi *= 2.0
+    s = numerics.find_root(gap, numerics.Bracket(s_lo, s_hi), tol=1e-12)
+    return alpha / (1.0 + math.exp(-s))
 
 
 @functools.lru_cache(maxsize=1024)
@@ -171,25 +126,23 @@ def standard_bounds(family: StandardFamily, n: int, level: float, kind: str):
     """Interval endpoints (lo, hi) in Z units for one family, n, level, kind.
 
     An interval of a posterior location + scale * Z is
-    (location + scale * lo, location + scale * hi). The "hpd" kind assumes
-    a unimodal family with its mode inside the support; hpd_unimodal
-    handles monotone densities before asking. Memoized: the result depends
-    only on the arguments.
+    (location + scale * lo, location + scale * hi). Every kind returns
+    (quantile(p), isf(alpha - p)) for its lower tail mass p. The "hpd"
+    kind assumes a unimodal family with its mode inside the support;
+    hpd_unimodal handles monotone densities before asking. Memoized: the
+    result depends only on the arguments.
     """
     _check_level(level)
     alpha = 1.0 - level
-    if kind == "hpd":
-        if family.symmetric:
-            half = float(family.quantile(n, 0.5 + level / 2.0))
-            return -half, half
-        return _solve_hpd(family, n, level)
-    if kind == "equal_tailed":
-        return float(family.quantile(n, alpha / 2.0)), float(family.quantile(n, 1.0 - alpha / 2.0))
-    if kind == "upper_one_sided":
-        return family.lower, float(family.quantile(n, level))
-    if kind == "lower_one_sided":
-        return float(family.quantile(n, 1.0 - level)), math.inf
-    raise DomainError(f"unknown interval kind {kind!r}")
+    tails = {"equal_tailed": alpha / 2.0, "upper_one_sided": 0.0, "lower_one_sided": alpha}
+    with np.errstate(divide="ignore"):
+        if kind == "hpd":
+            p = alpha / 2.0 if family.symmetric else _solve_hpd(family, n, alpha)
+        elif kind in tails:
+            p = tails[kind]
+        else:
+            raise DomainError(f"unknown interval kind {kind!r}")
+        return float(family.quantile(n, p)), float(family.isf(n, alpha - p))
 
 
 def _interval(dist: PosteriorDistribution, kind: str, level: float) -> CredibleInterval:

@@ -82,16 +82,18 @@ class StandardFamily:
     """Law of the pivot Z as functions of the sample size n.
 
     log_norm(n) + log_kernel(n, z) is the log density of Z on (lower, inf);
-    cdf(n, z) and quantile(n, p) accept arrays; mean(n) is None where the
-    mean does not exist. symmetric families have the HPD interval
-    -+ quantile(1/2 + level/2). Instances hash by identity, so they key
-    the interval memo.
+    cdf(n, z), quantile(n, p) and the upper-tail quantile isf(n, q) accept
+    arrays; under np.errstate(divide="ignore") quantile(n, 0) is lower and
+    isf(n, 0) is inf. mean(n) is None where the mean does not exist.
+    symmetric families have the HPD interval that leaves alpha/2 in each
+    tail. Instances hash by identity, so they key the interval memo.
     """
 
     log_norm: Callable
     log_kernel: Callable
     cdf: Callable
     quantile: Callable
+    isf: Callable
     mode: Callable
     mean: Callable
     lower: float = 0.0
@@ -108,6 +110,28 @@ def _eta_quantile(n, p):
         return np.sqrt(u / (1.0 - u))
 
 
+def _eta_upper_tail(n, z):
+    """P(Z > z) = I_v((n-2)/2, (n-1)/2) at v = 1/(1 + z^2) = 1 - u."""
+    return numerics.reg_inc_beta((n - 2) / 2.0, (n - 1) / 2.0, 1.0 / (1.0 + z * z))
+
+
+def _eta_cdf(n, z):
+    # I_u(a, b) at u = z^2/(1 + z^2); above z = 1 the tail comes from
+    # v = 1 - u, since u rounds to 1 long before the tail mass is negligible
+    arr = np.asarray(z, dtype=float)
+    far = arr > 1.0
+    out = np.empty_like(arr)
+    near = arr[~far]
+    out[~far] = numerics.reg_inc_beta((n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (near * near)))
+    out[far] = 1.0 - _eta_upper_tail(n, arr[far])
+    return _like(out, z)
+
+
+def _eta_isf(n, q):
+    v = np.asarray(numerics.reg_inc_beta_inv((n - 2) / 2.0, (n - 1) / 2.0, q))
+    return np.sqrt((1.0 - v) / v)
+
+
 STUDENT_T = StandardFamily(
     log_norm=lambda n: (
         numerics.log_gamma((n - 1) / 2.0) - numerics.log_gamma((n - 2) / 2.0)
@@ -116,6 +140,7 @@ STUDENT_T = StandardFamily(
     log_kernel=lambda n, z: -0.5 * (n - 1) * np.log1p(z * z / (n - 2)),
     cdf=lambda n, z: numerics.student_t_cdf(n - 2, z),
     quantile=lambda n, p: numerics.student_t_quantile(n - 2, p),
+    isf=lambda n, q: -numerics.student_t_quantile(n - 2, q),
     mode=lambda n: 0.0,
     mean=lambda n: 0.0 if n > 3 else None,
     lower=-math.inf,
@@ -127,6 +152,7 @@ INVERSE_GAMMA = StandardFamily(
     log_kernel=lambda n, z: -(n - 1) * np.log(z) - 1.0 / z,
     cdf=lambda n, z: numerics.reg_inc_gamma_c(n - 2, 1.0 / z),
     quantile=lambda n, p: 1.0 / np.asarray(numerics.reg_inc_gamma_c_inv(n - 2, p)),
+    isf=lambda n, q: 1.0 / np.asarray(numerics.reg_inc_gamma_inv(n - 2, q)),
     mode=lambda n: 1.0 / (n - 1),
     mean=lambda n: 1.0 / (n - 3) if n > 3 else None,
 )
@@ -136,6 +162,7 @@ GAMMA = StandardFamily(
     log_kernel=lambda n, z: (n - 3) * np.log(z) - z,
     cdf=lambda n, z: numerics.reg_inc_gamma(n - 2, z),
     quantile=lambda n, p: numerics.reg_inc_gamma_inv(n - 2, p),
+    isf=lambda n, q: numerics.reg_inc_gamma_c_inv(n - 2, q),
     # monotone decreasing density when n = 3 (shape 1): boundary mode
     mode=lambda n: float(max(n - 3, 0)),
     mean=lambda n: float(n - 2),
@@ -144,10 +171,9 @@ GAMMA = StandardFamily(
 SQRT_BETA_PRIME = StandardFamily(
     log_norm=lambda n: math.log(2.0) - _eta_log_beta(n),
     log_kernel=lambda n, z: (n - 2) * np.log(z) - (n - 1.5) * np.log1p(z * z),
-    cdf=lambda n, z: numerics.reg_inc_beta(
-        (n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (z * z))
-    ),
+    cdf=_eta_cdf,
     quantile=_eta_quantile,
+    isf=_eta_isf,
     mode=lambda n: math.sqrt((n - 2) / (n - 1)),
     mean=lambda n: (
         math.exp(numerics.log_beta(n / 2.0, (n - 3) / 2.0) - _eta_log_beta(n)) if n > 3 else None

@@ -8,6 +8,7 @@ integrate the kernel directly for the enclosed mass.
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -89,12 +90,27 @@ def test_hpd_mass_and_endpoint_density(param, level):
     assert abs(flo - fhi) <= 1e-6 * max(flo, fhi)
 
 
-@pytest.mark.parametrize("param", ["theta", "precision_w", "eta"])
-def test_hpd_at_level_one_minus_1e14(param):
-    # the right-end search starts at quantile(1 - tail); the tail must not
-    # round 1 - tail to 1.0 when alpha is about 1e-14
-    dist = _dist(param)
-    level = 1.0 - 1e-14
+# the n = 3 precision density is monotone, so its HPD region is one-sided
+FAR_CASES = [
+    (param, n)
+    for param in ("theta", "precision_w", "eta")
+    for n in (3, 4, 5, 10)
+    if (param, n) != ("precision_w", 3)
+]
+
+
+@pytest.mark.parametrize("level", [0.999, 0.999999, 1.0 - 1e-9, 1.0 - 1e-14],
+                         ids=["0.999", "0.999999", "1-1e-9", "1-1e-14"])
+@pytest.mark.parametrize("param,n", FAR_CASES)
+def test_hpd_at_level_one_minus_1e14(param, n, level):
+    # far levels on small n put the HPD left end at tail masses far below
+    # alpha (eta at n = 3: 5e-13 at level 0.999, 5e-25 at 0.999999), and
+    # the excluded tail alpha itself must come out right
+    dist = {
+        "theta": theta_posterior,
+        "precision_w": precision_posterior,
+        "eta": eta_posterior,
+    }[param](replace(REF, n=n))
     iv = hpd_unimodal(dist, level)
     assert iv.kind == "hpd"
     assert abs(iv.achieved_mass - level) <= 1e-15

@@ -23,6 +23,11 @@ from bvnprior.model import (
     write_dataset,
 )
 from bvnprior.posterior import (
+    GAMMA,
+    INVERSE_GAMMA,
+    SQRT_BETA_PRIME,
+    STUDENT_T,
+    _eta_upper_tail,
     beta_posterior,
     eta_posterior,
     precision_posterior,
@@ -235,3 +240,50 @@ def test_cdf_vectorizes():
     out = dist.cdf(xs)
     assert out.shape == (6,)
     assert np.all(np.diff(out) > 0.0)
+
+
+def _upper_tail_by_mpmath(mpmath, family, n, z):
+    """P(Z > z) for each standard family, by mpmath's incomplete functions."""
+    z = mpmath.mpf(z)
+    if family is STUDENT_T:  # z > 0
+        df = mpmath.mpf(n - 2)
+        return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + z * z), regularized=True) / 2
+    if family is INVERSE_GAMMA:
+        return mpmath.gammainc(n - 2, 0, 1 / z, regularized=True)
+    if family is GAMMA:
+        return mpmath.gammainc(n - 2, z, mpmath.inf, regularized=True)
+    a, b = mpmath.mpf(n - 1) / 2, mpmath.mpf(n - 2) / 2
+    return mpmath.betainc(b, a, 0, 1 / (1 + z * z), regularized=True)
+
+
+FAMILIES = {"t": STUDENT_T, "inverse_gamma": INVERSE_GAMMA, "gamma": GAMMA, "eta": SQRT_BETA_PRIME}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("n", [3, 4, 10, 200])
+def test_upper_tail_quantile_matches_mpmath(name, n):
+    mpmath = pytest.importorskip("mpmath")
+    family = FAMILIES[name]
+    for q in (0.3, 1e-8, 1e-30):
+        z = float(family.isf(n, q))
+        with mpmath.workdps(50):
+            exact = mpmath.findroot(
+                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, family, n, x)) - mpmath.log(q),
+                mpmath.mpf(z),
+            )
+            assert abs(z - exact) <= 1e-12 * exact
+    with np.errstate(divide="ignore"):
+        assert float(family.quantile(n, 0.0)) == family.lower
+        assert float(family.isf(n, 0.0)) == math.inf
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
+def test_eta_far_upper_tail_matches_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    for z in (1e3, 1e6, 1e9):
+        with mpmath.workdps(50):
+            exact = _upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, n, z)
+            assert abs(_eta_upper_tail(n, z) - exact) <= 1e-12 * exact
+        assert SQRT_BETA_PRIME.cdf(n, z) == 1.0 - _eta_upper_tail(n, z)
+    # the tail near 1e-9 must survive in the cdf, not round it to 1
+    assert SQRT_BETA_PRIME.cdf(3, 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
