@@ -2,8 +2,8 @@
 
 Subcommands: sample, stats, posterior, interval, coverage, verify-lemma,
 verify-prior. Exit codes: 0 success, 2 usage error, 3 data or domain
-error or unreadable file, 4 numerical failure (including failed
-verification checks).
+error, unreadable file or a size too large to allocate, 4 numerical
+failure (including failed verification checks).
 All output is deterministic: rerunning a command with the same flags and
 seed produces byte-identical bytes.
 """
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     except (NumericalError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

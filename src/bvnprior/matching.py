@@ -5,7 +5,11 @@ Two independent kinds of evidence are produced:
 * verify_score_moments draws from the model and confirms, by Monte Carlo,
   the closed-form moment identities for products and third derivatives of
   the log density that every matching argument below relies on (for
-  example E[d^3 log f / d theta^3] = 4/theta^3).
+  example E[d^3 log f / d theta^3] = 4/theta^3). Every integrand is a
+  polynomial in the residuals u = x2 - mu2 - beta (x1 - mu1) and
+  v = x1 - mu1, so u and v are computed once per draw and each integrand
+  is built from the shared powers u^2, v^2, uv and
+  A = u^2/(2 eta) + eta v^2/2.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for posterior quantiles,
@@ -17,7 +21,10 @@ Two independent kinds of evidence are produced:
 Each residual is the left side of the corresponding reduced identity,
 expanded by the product rule into the prior value and its first/second
 partials, so both the analytic and the finite-difference route evaluate
-the same linear functional of the prior.
+the same linear functional of the prior. The partials are taken once per
+grid point and shared by every identity; each beta plane of them is one
+PriorPartials of arrays, on which the residuals are plain array
+arithmetic. A NaN residual anywhere fails its identity.
 """
 
 from __future__ import annotations
@@ -25,13 +32,23 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, fields
+from functools import partial
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError
-from .model import OrthogonalParams, log_density_partial, sample, to_original
+# log_density_partial is not called here; it stays bound in this namespace
+# because the benchmark's span recorder wraps matching.log_density_partial
+from .model import (
+    OrthogonalParams,
+    _residuals,
+    log_density_partial,  # noqa: F401
+    sample,
+    to_original,
+)
 
 __all__ = [
     "PriorPartials",
@@ -60,7 +77,8 @@ class PriorPartials:
     """Prior density and its partials at one (beta, theta, eta) point.
 
     Mixed partials never enter the reduced identities, so only the pure
-    first and second partials are carried.
+    first and second partials are carried. verify_prior fills the fields
+    with arrays over a beta plane of the grid.
     """
 
     value: float
@@ -356,6 +374,63 @@ def _pass_tol(used_analytic: bool) -> float:
     return 1e-5 if used_analytic else 1e-3
 
 
+_PARTIAL_FIELDS = tuple(f.name for f in fields(PriorPartials))
+_PARTIAL_VALUES = attrgetter(*_PARTIAL_FIELDS)
+
+
+def _plane_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
+    """The prior's partials on the plane beta = b, one evaluation per point.
+
+    Each field is a (len(theta_ax), len(eta_ax)) array; only one plane of
+    the grid is held at a time.
+    """
+    at = prior.analytic_partials or partial(_fd_partials, prior.log_prior)
+    plane = np.empty((len(theta_ax), len(eta_ax), len(_PARTIAL_FIELDS)))
+    for i, t in enumerate(theta_ax):
+        plane[i] = [_PARTIAL_VALUES(at(b, t, e)) for e in eta_ax]
+    return PriorPartials(*np.moveaxis(plane, -1, 0))
+
+
+def _residual_reports(conditions, prior: PriorSpec, grid: GridSpec) -> list[ResidualReport]:
+    """Worst absolute residual of each condition over the grid.
+
+    The worst point is the first maximum in row-major (beta, theta, eta)
+    order; a NaN residual counts above every number, so the first NaN
+    point is reported with max_abs_residual nan and the identity fails.
+    """
+    beta_ax, theta_ax, eta_ax = grid.axes()
+    theta_col, eta_row = theta_ax[:, None], eta_ax[None, :]
+    worst = [-1.0] * len(conditions)
+    worst_point = [None] * len(conditions)
+    for b in beta_ax:
+        partials = _plane_partials(prior, b, theta_ax, eta_ax)
+        # the residuals are plain arithmetic: an overflow or an invalid
+        # operation shows as inf or NaN in the result
+        with np.errstate(all="ignore"):
+            for k, condition in enumerate(conditions):
+                if math.isnan(worst[k]):
+                    continue
+                r = np.abs(condition.residual(partials, b, theta_col, eta_row))
+                i, j = np.unravel_index(np.argmax(r), r.shape)
+                if r[i, j] > worst[k] or math.isnan(r[i, j]):
+                    worst[k] = float(r[i, j])
+                    worst_point[k] = (float(b), float(theta_ax[i]), float(eta_ax[j]))
+    use_analytic = prior.analytic_partials is not None
+    return [
+        ResidualReport(
+            condition_id=condition.id,
+            prior_name=prior.name,
+            grid=grid,
+            used_analytic_partials=use_analytic,
+            max_abs_residual=worst[k],
+            worst_point=worst_point[k],
+            n_points=beta_ax.size * theta_ax.size * eta_ax.size,
+            pass_tol=_pass_tol(use_analytic),
+        )
+        for k, condition in enumerate(conditions)
+    ]
+
+
 def pde_residual(
     condition: MatchingCondition | str,
     prior: PriorSpec,
@@ -365,45 +440,24 @@ def pde_residual(
 
     Residuals scale linearly with the prior (they are linear functionals),
     so an unnormalized prior is fine. The worst point is the first
-    attaining the maximum in row-major (beta, theta, eta) order.
+    attaining the maximum in row-major (beta, theta, eta) order, and any
+    NaN residual makes the identity fail at the first NaN point.
     """
     if isinstance(condition, str):
         try:
             condition = CONDITIONS[condition]
         except KeyError:
             raise DomainError(f"unknown condition id {condition!r}") from None
-    beta_ax, theta_ax, eta_ax = grid.axes()
-    use_analytic = prior.analytic_partials is not None
-    worst = -1.0
-    worst_point = (beta_ax[0], theta_ax[0], eta_ax[0])
-    count = 0
-    for b in beta_ax:
-        for t in theta_ax:
-            for e in eta_ax:
-                if use_analytic:
-                    partials = prior.analytic_partials(b, t, e)
-                else:
-                    partials = _fd_partials(prior.log_prior, b, t, e)
-                r = float(abs(condition.residual(partials, b, t, e)))
-                count += 1
-                if r > worst:
-                    worst = r
-                    worst_point = (float(b), float(t), float(e))
-    return ResidualReport(
-        condition_id=condition.id,
-        prior_name=prior.name,
-        grid=grid,
-        used_analytic_partials=use_analytic,
-        max_abs_residual=worst,
-        worst_point=worst_point,
-        n_points=count,
-        pass_tol=_pass_tol(use_analytic),
-    )
+    return _residual_reports((condition,), prior, grid)[0]
 
 
 def verify_prior(prior: PriorSpec, grid: GridSpec = DEFAULT_GRID) -> list[ResidualReport]:
-    """Residual reports for all matching conditions, in registry order."""
-    return [pde_residual(CONDITIONS[cid], prior, grid) for cid in CONDITION_IDS]
+    """Residual reports for all matching conditions, in registry order.
+
+    The prior's partials are taken once per grid point and shared by all
+    eleven conditions.
+    """
+    return _residual_reports(tuple(CONDITIONS.values()), prior, grid)
 
 
 @dataclass(frozen=True)
@@ -418,25 +472,84 @@ class ExpectationCheck:
     passed: bool
 
 
-# each entry: (label, kind, payload, claim(theta, eta))
-# kind "cube": E[(dl/dx)^3]; "pair": E[(dl/dx)(d2l/dx2)]; "third": E[d3l/...]
+class _ResidualPowers(NamedTuple):
+    """Shared powers of the residuals u = x2 - mu2 - beta v, v = x1 - mu1."""
+
+    u2: np.ndarray
+    v2: np.ndarray
+    uv: np.ndarray
+    a: np.ndarray  # A = u^2/(2 eta) + eta v^2/2, so log f = -log(2 pi theta) - A/theta
+
+
+def _residual_powers(params: OrthogonalParams, data) -> _ResidualPowers:
+    u, v = _residuals(params, data[:, 0], data[:, 1])
+    uv = u * v
+    # u and v are fresh arrays: square them in place
+    u2, v2 = np.square(u, out=u), np.square(v, out=v)
+    return _ResidualPowers(u2, v2, uv, 0.5 * (u2 / params.eta + params.eta * v2))
+
+
+def _cube(x):
+    # an array ** 3 goes through the general pow, several times slower
+    return x * x * x
+
+
+# Each entry: (label, integrand(r, theta, eta), claim(theta, eta)), with r
+# the _ResidualPowers of the draws. The integrands are products of the
+# exact partials of log f = -log(2 pi theta) - A/theta:
+#   dl/dbeta  = uv / (eta theta)          d2l/dbeta2  = -v^2 / (eta theta)
+#   dl/dtheta = A/theta^2 - 1/theta       d2l/dtheta2 = 1/theta^2 - 2A/theta^3
+#   dl/deta   = (u^2/eta^2 - v^2) / (2 theta)
+#   d2l/deta2 = -u^2 / (eta^3 theta)
+# and their further derivatives (du/dbeta = -v, dA/deta = -u^2/(2 eta^2) + v^2/2).
 _MOMENTS = (
-    ("E[(dl/dbeta)^3]", "cube", (1, 0, 0), lambda t, e: 0.0),
-    ("E[(dl/dbeta)(d2l/dbeta2)]", "pair", (1, 0, 0), lambda t, e: 0.0),
-    ("E[d3l/dbeta3]", "third", (3, 0, 0), lambda t, e: 0.0),
-    ("E[d3l/dbeta2 dtheta]", "third", (2, 1, 0), lambda t, e: 1.0 / (t * e * e)),
-    ("E[d3l/dbeta2 deta]", "third", (2, 0, 1), lambda t, e: 1.0 / e ** 3),
-    ("E[d3l/dbeta dtheta2]", "third", (1, 2, 0), lambda t, e: 0.0),
-    ("E[d3l/dbeta deta2]", "third", (1, 0, 2), lambda t, e: 0.0),
-    ("E[(dl/dtheta)^3]", "cube", (0, 1, 0), lambda t, e: 2.0 / t ** 3),
-    ("E[(dl/dtheta)(d2l/dtheta2)]", "pair", (0, 1, 0), lambda t, e: -2.0 / t ** 3),
-    ("E[d3l/dtheta3]", "third", (0, 3, 0), lambda t, e: 4.0 / t ** 3),
-    ("E[d3l/dtheta2 deta]", "third", (0, 2, 1), lambda t, e: 0.0),
-    ("E[d3l/dtheta deta2]", "third", (0, 1, 2), lambda t, e: 1.0 / (t * e * e)),
-    ("E[(dl/deta)^3]", "cube", (0, 0, 1), lambda t, e: 0.0),
-    ("E[(dl/deta)(d2l/deta2)]", "pair", (0, 0, 1), lambda t, e: -1.0 / e ** 3),
-    ("E[d3l/deta3]", "third", (0, 0, 3), lambda t, e: 3.0 / e ** 3),
+    ("E[(dl/dbeta)^3]",
+     lambda r, t, e: _cube(r.uv / (e * t)),
+     lambda t, e: 0.0),
+    ("E[(dl/dbeta)(d2l/dbeta2)]",
+     lambda r, t, e: r.uv * r.v2 * (-1.0 / (e * t) ** 2),
+     lambda t, e: 0.0),
+    ("E[d3l/dbeta3]",
+     lambda r, t, e: np.zeros_like(r.uv),
+     lambda t, e: 0.0),
+    ("E[d3l/dbeta2 dtheta]",
+     lambda r, t, e: r.v2 / (e * t * t),
+     lambda t, e: 1.0 / (t * e * e)),
+    ("E[d3l/dbeta2 deta]",
+     lambda r, t, e: r.v2 / (e * e * t),
+     lambda t, e: 1.0 / e ** 3),
+    ("E[d3l/dbeta dtheta2]",
+     lambda r, t, e: r.uv * (2.0 / (e * t ** 3)),
+     lambda t, e: 0.0),
+    ("E[d3l/dbeta deta2]",
+     lambda r, t, e: r.uv * (2.0 / (e ** 3 * t)),
+     lambda t, e: 0.0),
+    ("E[(dl/dtheta)^3]",
+     lambda r, t, e: _cube(r.a / t ** 2 - 1.0 / t),
+     lambda t, e: 2.0 / t ** 3),
+    ("E[(dl/dtheta)(d2l/dtheta2)]",
+     lambda r, t, e: (r.a / t ** 2 - 1.0 / t) * (1.0 / t ** 2 - r.a * (2.0 / t ** 3)),
+     lambda t, e: -2.0 / t ** 3),
+    ("E[d3l/dtheta3]",
+     lambda r, t, e: r.a * (6.0 / t ** 4) - 2.0 / t ** 3,
+     lambda t, e: 4.0 / t ** 3),
+    ("E[d3l/dtheta2 deta]",
+     lambda r, t, e: (r.u2 / e ** 2 - r.v2) / t ** 3,
+     lambda t, e: 0.0),
+    ("E[d3l/dtheta deta2]",
+     lambda r, t, e: r.u2 / (e ** 3 * t * t),
+     lambda t, e: 1.0 / (t * e * e)),
+    ("E[(dl/deta)^3]",
+     lambda r, t, e: _cube((r.u2 / e ** 2 - r.v2) / (2.0 * t)),
+     lambda t, e: 0.0),
+    ("E[(dl/deta)(d2l/deta2)]",
+     lambda r, t, e: (r.u2 / e ** 2 - r.v2) * r.u2 * (-1.0 / (2.0 * e ** 3 * t * t)),
+     lambda t, e: -1.0 / e ** 3),
+    ("E[d3l/deta3]",
+     lambda r, t, e: r.u2 * (3.0 / (e ** 4 * t)),
+     lambda t, e: 3.0 / e ** 3),
 )
+
 
 def verify_score_moments(
     params: OrthogonalParams,
@@ -447,26 +560,18 @@ def verify_score_moments(
 
     Draws n_samples observations from the model at params and averages the
     corresponding product of log-density derivatives for each identity.
-    The derivatives are exact (model.log_density_partial), so a check
-    passes when |estimate - claim| <= 4 * stderr; an identically zero
-    integrand gives estimate 0 with stderr 0.
+    The derivatives are exact, built from the residual powers shared by
+    all identities, so a check passes when |estimate - claim| <= 4 * stderr;
+    an identically zero integrand gives estimate 0 with stderr 0.
     """
     if n_samples < 100_000:
         raise DomainError("verify_score_moments needs n_samples >= 100000")
-    data = sample(to_original(params), n_samples, seed)
-    x1, x2 = data[:, 0], data[:, 1]
+    powers = _residual_powers(params, sample(to_original(params), n_samples, seed))
     t, e = params.theta, params.eta
     checks = []
-    for label, kind, payload, claim in _MOMENTS:
-        if kind == "cube":
-            vals = log_density_partial(params, x1, x2, payload) ** 3
-        elif kind == "pair":
-            second = tuple(2 * k for k in payload)
-            vals = log_density_partial(params, x1, x2, payload) * log_density_partial(
-                params, x1, x2, second
-            )
-        else:
-            vals = log_density_partial(params, x1, x2, payload)
+    # one integrand at a time keeps as few n_samples-long arrays alive as possible
+    for label, integrand, claim in _MOMENTS:
+        vals = integrand(powers, t, e)
         estimate = float(np.mean(vals))
         stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
         claimed = claim(t, e)

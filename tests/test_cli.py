@@ -190,6 +190,15 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     assert "collinear" in err
 
 
+def test_unallocatable_sample_count_exits_3(capsys):
+    # 1e16 pairs need 142 PiB, beyond the x86-64 user address space, so
+    # numpy refuses the allocation at once and no memory is touched
+    code, _, err = run_cli(capsys, "verify-lemma", "--samples", "10000000000000000")
+    assert code == 3
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_output_flag_writes_files(tmp_path, dataset, capsys):
     out_path = tmp_path / "interval.json"
     code = main(

@@ -3,17 +3,22 @@
 import csv
 import io
 import math
+import re
 
 import numpy as np
 import pytest
 
 from bvnprior.errors import DomainError
 from bvnprior.matching import (
+    _MOMENTS,
     CONDITION_IDS,
     CONDITIONS,
+    DEFAULT_GRID,
     FLAT_PRIOR,
     MATCHING_PRIOR,
     GridSpec,
+    ResidualReport,
+    _fd_partials,
     PriorSpec,
     moment_report_csv,
     moment_report_table,
@@ -23,9 +28,10 @@ from bvnprior.matching import (
     verify_prior,
     verify_score_moments,
 )
-from bvnprior.model import OrthogonalParams
+from bvnprior.model import OrthogonalParams, log_density_partial, sample, to_original
 
 MATCHING_FD = PriorSpec("matching-fd", MATCHING_PRIOR.log_prior)
+FLAT_FD = PriorSpec("flat-fd", FLAT_PRIOR.log_prior)
 
 # conditions the flat prior happens to satisfy; the rest it must fail
 FLAT_PASSES = {"dist_fn_A2_beta", "dist_fn_eta_main", "hpd_eta_pde"}
@@ -173,3 +179,180 @@ def test_report_serializations():
     assert len(mrows) == 1 + 15
     mtable = moment_report_table(checks)
     assert mtable.count("\n") == 16
+
+
+# -- references: one condition and one grid point at a time ---------------
+
+
+def reference_pde_residual(condition, prior, grid):
+    """Per-condition scalar loop: the prior's partials at every grid point."""
+    beta_ax, theta_ax, eta_ax = grid.axes()
+    use_analytic = prior.analytic_partials is not None
+    worst = -1.0
+    worst_point = (beta_ax[0], theta_ax[0], eta_ax[0])
+    count = 0
+    for b in beta_ax:
+        for t in theta_ax:
+            for e in eta_ax:
+                if use_analytic:
+                    partials = prior.analytic_partials(b, t, e)
+                else:
+                    partials = _fd_partials(prior.log_prior, b, t, e)
+                r = float(abs(condition.residual(partials, b, t, e)))
+                count += 1
+                if r > worst:
+                    worst = r
+                    worst_point = (float(b), float(t), float(e))
+    return ResidualReport(
+        condition_id=condition.id,
+        prior_name=prior.name,
+        grid=grid,
+        used_analytic_partials=use_analytic,
+        max_abs_residual=worst,
+        worst_point=worst_point,
+        n_points=count,
+        pass_tol=1e-5 if use_analytic else 1e-3,
+    )
+
+
+# non-cubic grids with distinct bounds, so that a swapped axis shows
+EQUALITY_GRIDS = (
+    DEFAULT_GRID,
+    GridSpec(beta=(-1.5, 2.0, 3), theta=(0.7, 2.6, 2), eta=(0.6, 2.9, 4)),
+    GridSpec(beta=(-0.5, 1.0, 2), theta=(0.55, 3.2, 5), eta=(0.8, 2.1, 3)),
+)
+
+
+@pytest.mark.parametrize("grid", EQUALITY_GRIDS)
+@pytest.mark.parametrize("prior", [MATCHING_PRIOR, MATCHING_FD, FLAT_PRIOR, FLAT_FD],
+                         ids=lambda p: p.name)
+def test_verify_prior_equals_the_per_condition_scalar_loop(prior, grid):
+    expected = [reference_pde_residual(c, prior, grid) for c in CONDITIONS.values()]
+    assert verify_prior(prior, grid) == expected
+    assert pde_residual("lr_eta_pde", prior, grid) == expected[-1]
+
+
+def test_worst_point_ties_go_to_the_first_grid_point():
+    # flat hpd_theta_pde is exactly -2 everywhere
+    for grid in EQUALITY_GRIDS:
+        report = pde_residual("hpd_theta_pde", FLAT_PRIOR, grid)
+        assert report.max_abs_residual == 2.0
+        assert report.worst_point == tuple(float(ax[0]) for ax in grid.axes())
+
+
+def test_nan_prior_fails_every_condition_at_the_first_point():
+    nan_prior = PriorSpec("nan", lambda b, t, e: math.nan)
+    reports = verify_prior(nan_prior)
+    first = (-2.0, 0.5, 0.5)
+    for r in reports:
+        assert math.isnan(r.max_abs_residual)
+        assert not r.passed
+        assert r.worst_point == first
+        assert all(type(x) is float for x in r.worst_point)
+    rows = list(csv.reader(io.StringIO(residual_report_csv(reports))))[1:]
+    assert all(row[2:] == ["nan", "-2.0", "0.5", "0.5", "false"] for row in rows)
+
+
+def test_nan_residual_on_part_of_the_grid_fails_at_its_first_nan_point():
+    # NaN for theta >= 2 only; the first such grid theta is 2.0625
+    def log_prior(b, t, e):
+        return math.nan if t >= 2.0 else -math.log(t * e)
+
+    for r in verify_prior(PriorSpec("nan-above-2", log_prior)):
+        assert math.isnan(r.max_abs_residual)
+        assert not r.passed
+        assert r.worst_point == (-2.0, 2.0625, 0.5)
+
+
+# the parent table: (label, kind, payload, claim(theta, eta)); kind "cube" is
+# E[(dl/dx)^3], "pair" E[(dl/dx)(d2l/dx2)], "third" E[d3l/...]
+REFERENCE_MOMENTS = (
+    ("E[(dl/dbeta)^3]", "cube", (1, 0, 0), lambda t, e: 0.0),
+    ("E[(dl/dbeta)(d2l/dbeta2)]", "pair", (1, 0, 0), lambda t, e: 0.0),
+    ("E[d3l/dbeta3]", "third", (3, 0, 0), lambda t, e: 0.0),
+    ("E[d3l/dbeta2 dtheta]", "third", (2, 1, 0), lambda t, e: 1.0 / (t * e * e)),
+    ("E[d3l/dbeta2 deta]", "third", (2, 0, 1), lambda t, e: 1.0 / e ** 3),
+    ("E[d3l/dbeta dtheta2]", "third", (1, 2, 0), lambda t, e: 0.0),
+    ("E[d3l/dbeta deta2]", "third", (1, 0, 2), lambda t, e: 0.0),
+    ("E[(dl/dtheta)^3]", "cube", (0, 1, 0), lambda t, e: 2.0 / t ** 3),
+    ("E[(dl/dtheta)(d2l/dtheta2)]", "pair", (0, 1, 0), lambda t, e: -2.0 / t ** 3),
+    ("E[d3l/dtheta3]", "third", (0, 3, 0), lambda t, e: 4.0 / t ** 3),
+    ("E[d3l/dtheta2 deta]", "third", (0, 2, 1), lambda t, e: 0.0),
+    ("E[d3l/dtheta deta2]", "third", (0, 1, 2), lambda t, e: 1.0 / (t * e * e)),
+    ("E[(dl/deta)^3]", "cube", (0, 0, 1), lambda t, e: 0.0),
+    ("E[(dl/deta)(d2l/deta2)]", "pair", (0, 0, 1), lambda t, e: -1.0 / e ** 3),
+    ("E[d3l/deta3]", "third", (0, 0, 3), lambda t, e: 3.0 / e ** 3),
+)
+
+
+def reference_score_moments(params, n_samples, seed):
+    """(label, claimed, estimate, stderr, passed), one log_density_partial per factor."""
+    data = sample(to_original(params), n_samples, seed)
+    x1, x2 = data[:, 0], data[:, 1]
+    out = []
+    for label, kind, payload, claim in REFERENCE_MOMENTS:
+        first = log_density_partial(params, x1, x2, payload)
+        if kind == "cube":
+            vals = first ** 3
+        elif kind == "pair":
+            vals = first * log_density_partial(params, x1, x2, tuple(2 * k for k in payload))
+        else:
+            vals = first
+        estimate = float(np.mean(vals))
+        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
+        claimed = claim(params.theta, params.eta)
+        out.append((label, claimed, estimate, stderr, abs(estimate - claimed) <= 4.0 * stderr))
+    return out
+
+
+@pytest.mark.parametrize("params, seed", [
+    (POINT, 5),
+    (OrthogonalParams(0.3, -0.2, -1.1, 0.7, 2.2), 17),
+    (OrthogonalParams(1.0, 1.0, 0.0, 2.4, 0.65), 29),
+])
+def test_score_moments_match_the_per_partial_reference(params, seed):
+    checks = verify_score_moments(params, 100_000, seed)
+    expected = reference_score_moments(params, 100_000, seed)
+    assert [c.label for c in checks] == [x[0] for x in expected]
+    for c, (label, claimed, estimate, stderr, passed) in zip(checks, expected):
+        assert c.claimed == claimed
+        assert c.n_samples == 100_000
+        assert c.passed == passed
+        assert abs(c.estimate - estimate) <= 1e-9 * stderr
+        assert abs(c.stderr - stderr) <= 1e-9 * stderr
+
+
+def test_moment_claims_follow_from_gaussian_residual_moments():
+    sp = pytest.importorskip("sympy")
+    b, t, e, mu1, mu2, x1, x2, u, v = sp.symbols("beta theta eta mu1 mu2 x1 x2 u v", real=True)
+    wrt = {"beta": b, "theta": t, "eta": e}
+    log_f = (-sp.log(2 * sp.pi * t) - (x2 - mu2 - b * (x1 - mu1)) ** 2 / (2 * t * e)
+             - e * (x1 - mu1) ** 2 / (2 * t))
+
+    def derivative(spec):
+        # "d3l/dbeta2 deta" is d^3 log f / dbeta^2 deta
+        order, names = re.fullmatch(r"d(\d?)l/(.+)", spec).groups()
+        expr = log_f
+        total = 0
+        for name, power in re.findall(r"d(beta|theta|eta)(\d?)", names):
+            expr = sp.diff(expr, wrt[name], int(power or 1))
+            total += int(power or 1)
+        assert total == int(order or 1)
+        return expr
+
+    def gaussian_moment(k, var):
+        # E z^k for z ~ N(0, var): (k-1)!! var^(k/2) for even k, else 0
+        return 0 if k % 2 else sp.factorial2(k - 1) * var ** (k // 2)
+
+    for label, _, claim in _MOMENTS:
+        inner = re.fullmatch(r"E\[(.+)\]", label).group(1)
+        factors = re.findall(r"\(([^()]+)\)", inner) or [inner]
+        integrand = sp.Mul(*(derivative(f) for f in factors))
+        if inner.endswith("^3"):
+            integrand = integrand ** 3
+        integrand = sp.expand(integrand.subs({x2: mu2 + b * v + u, x1: mu1 + v}))
+        moment = sum(
+            coeff * gaussian_moment(i, t * e) * gaussian_moment(j, t / e)
+            for (i, j), coeff in sp.Poly(integrand, u, v).terms()
+        )
+        assert sp.simplify(moment - sp.nsimplify(claim(t, e))) == 0, label
