@@ -27,7 +27,6 @@ from .coverage import (
     CoverageCellSpec,
     CoverageReport,
     ks_uniformity,
-    replicate_seed,
     run_cell,
     run_table,
 )
@@ -144,7 +143,6 @@ __all__ = [
     "CoverageCellSpec",
     "CellResult",
     "CoverageReport",
-    "replicate_seed",
     "run_cell",
     "run_table",
     "ks_uniformity",

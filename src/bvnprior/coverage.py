@@ -7,17 +7,18 @@ value. Under the 1/(theta eta) prior all three one-dimensional posteriors
 are exact pivot distributions, so the true coverage equals the nominal
 level for every cell; the simulation estimates it with binomial noise.
 
-Reproducibility: replicate j of cell k under master seed s uses the
-dedicated generator seed splitmix64(splitmix64(splitmix64(s) ^ k) ^ j)
-(the standard 64-bit splitmix finalizer applied in a fixed chain), so
-results are bit-identical regardless of how the work is scheduled or how
-many workers run.
+Reproducibility: cell k under master seed s draws from one generator,
+default_rng(splitmix64(splitmix64(s) ^ k)) (the standard 64-bit splitmix
+finalizer applied in a fixed chain), and replicate j is slice j of its
+(replicates, n, 2) standard normal stream. Results depend only on the
+seed and the cell index, never on how the work is scheduled or how many
+workers run.
 
-Replicates are processed in chunks: each chunk draws its replicates'
-datasets as one (R, n, 2) stack, still one generator per replicate seed,
-so the random stream is the one a replicate-by-replicate loop would use,
-and reduces them to sufficient statistics with array operations. Chunks
-hold about _CHUNK_NORMALS normal draws, which bounds memory at large n.
+Replicates are processed in chunks: each chunk draws the next (R, n, 2)
+block of the cell's stream, so the draws do not depend on the chunk
+size, and reduces it to sufficient statistics with array operations.
+Chunks hold about _CHUNK_NORMALS normal draws, which bounds memory at
+large n.
 
 Interval construction uses the pivot structure of the posteriors: each
 parameter is location + scale * Z, where pivot() maps every replicate's
@@ -47,7 +48,7 @@ from .interval import standard_bounds
 from .model import (
     OriginalParams,
     _centered_sums,
-    _sample_stack,
+    _transform,
     sample,  # noqa: F401
     sufficient_stats,  # noqa: F401
     to_orthogonal,
@@ -61,7 +62,6 @@ __all__ = [
     "CoverageCellSpec",
     "CellResult",
     "CoverageReport",
-    "replicate_seed",
     "run_cell",
     "run_table",
     "ks_uniformity",
@@ -93,12 +93,9 @@ def _splitmix64(z: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def replicate_seed(seed: int, cell_index: int, replicate_index: int) -> int:
-    """Counter-based per-replicate seed; fixed across worker layouts."""
-    h = _splitmix64(seed)
-    h = _splitmix64(h ^ (cell_index & _MASK64))
-    h = _splitmix64(h ^ (replicate_index & _MASK64))
-    return h
+def _cell_seed(seed: int, cell_index: int) -> int:
+    """Counter-based seed of one cell's generator; fixed across worker layouts."""
+    return _splitmix64(_splitmix64(seed) ^ (cell_index & _MASK64))
 
 
 @dataclass(frozen=True)
@@ -228,13 +225,12 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     base = replace(spec.params_base, rho=spec.rho)
     truth = to_orthogonal(base)
 
+    rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
     per_chunk = max(1, _CHUNK_NORMALS // (2 * spec.n))
     kept = []
     for start in range(0, spec.replicates, per_chunk):
-        stop = min(start + per_chunk, spec.replicates)
-        seeds = [replicate_seed(spec.seed, cell_index, j) for j in range(start, stop)]
-        data = _sample_stack(base, spec.n, seeds)
-        _, _, s11, _, s12, s22_1 = _centered_sums(data[..., 0], data[..., 1])
+        z = rng.standard_normal((min(per_chunk, spec.replicates - start), spec.n, 2))
+        _, _, s11, _, s12, s22_1 = _centered_sums(*_transform(base, z))
         ok = (s11 > 0.0) & (s22_1 > 0.0)
         kept.append((s11[ok], s12[ok], s22_1[ok]))
     s11, s12, s22_1 = (np.concatenate(parts) for parts in zip(*kept))
@@ -303,7 +299,7 @@ def run_table(
     """Run the full (rho, n) grid, ordered rho ascending then n ascending.
 
     Cell index is the row-major position in that sorted grid; it enters
-    the per-replicate seed, so the report is bit-identical for any worker
+    the cell's generator seed, so the report is bit-identical for any worker
     count. At most one worker process per cell is started. Errors in one
     cell are captured in its CellResult and never abort the others.
     """
@@ -341,12 +337,17 @@ def ks_uniformity(cell: CellResult) -> dict:
     """Kolmogorov-Smirnov uniformity test of the posterior CDF values.
 
     Under exact matching, cdf_values for each parameter are iid U(0, 1);
-    returns {param: (statistic, pvalue)}.
+    returns {param: (statistic, pvalue)}. The three tests run as one
+    array computation with scipy's two-sided exact method, so each pair
+    equals scipy.stats.kstest(values, "uniform"): D is D+ where D+ > D-
+    and D- otherwise, and the p-value is kstwo.sf(D, m) clipped to [0, 1].
     """
     if not cell.ok:
         raise DomainError("cannot test a failed cell")
-    out = {}
-    for param in _PARAMS:
-        res = _sp_stats.kstest(cell.cdf_values[param], "uniform")
-        out[param] = (float(res.statistic), float(res.pvalue))
-    return out
+    x = np.sort([cell.cdf_values[p] for p in _PARAMS], axis=-1)
+    m = x.shape[-1]
+    d_plus = (np.arange(1.0, m + 1) / m - x).max(axis=-1)
+    d_minus = (x - np.arange(0.0, m) / m).max(axis=-1)
+    d = np.where(d_plus > d_minus, d_plus, d_minus)
+    p = np.clip(_sp_stats.kstwo.sf(d, m), 0.0, 1.0)
+    return {param: (float(d[i]), float(p[i])) for i, param in enumerate(_PARAMS)}

@@ -144,6 +144,8 @@ class GridSpec:
     def __post_init__(self):
         for name in ("beta", "theta", "eta"):
             lo, hi, count = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise DomainError(f"grid axis {name} needs finite bounds")
             if not lo < hi or count < 2:
                 raise DomainError(f"grid axis {name} needs lo < hi and count >= 2")
         if self.theta[0] <= 0.0 or self.eta[0] <= 0.0:
@@ -315,11 +317,10 @@ def _fd_partials(log_prior, b, t, e) -> PriorPartials:
     Step 1e-4 * max(1, |coordinate|), clamped so theta and eta stay
     positive across the 5-point stencil. 4th-order stencils keep the
     truncation error of the stiffest identity below 1e-7 on the default
-    grid, which 3-point stencils at the same step do not.
+    grid, which 3-point stencils at the same step do not. The centre and
+    the +-h, +-2h points of each axis are evaluated once and shared by
+    the first and second differences: 13 log_prior calls per point.
     """
-
-    def pi(bb, tt, ee):
-        return math.exp(log_prior(bb, tt, ee))
 
     def steps(x, positive):
         h = 1e-4 * max(1.0, abs(x))
@@ -327,29 +328,18 @@ def _fd_partials(log_prior, b, t, e) -> PriorPartials:
             h = min(h, x / 4.0)
         return h
 
-    def d1(f, x, h):
-        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+    def pi_at(axis, shift):
+        point = [b, t, e]
+        point[axis] += shift
+        return math.exp(log_prior(*point))
 
-    def d2(f, x, h):
-        return (
-            -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
-        ) / (12 * h * h)
-
-    hb = steps(b, False)
-    ht = steps(t, True)
-    he = steps(e, True)
-    fb = lambda x: pi(x, t, e)
-    ft = lambda x: pi(b, x, e)
-    fe = lambda x: pi(b, t, x)
-    return PriorPartials(
-        value=pi(b, t, e),
-        d_beta=d1(fb, b, hb),
-        d_theta=d1(ft, t, ht),
-        d_eta=d1(fe, e, he),
-        d2_beta=d2(fb, b, hb),
-        d2_theta=d2(ft, t, ht),
-        d2_eta=d2(fe, e, he),
-    )
+    centre = math.exp(log_prior(b, t, e))
+    d1, d2 = [], []
+    for axis, h in enumerate((steps(b, False), steps(t, True), steps(e, True))):
+        p2, p1, m1, m2 = (pi_at(axis, k * h) for k in (2, 1, -1, -2))
+        d1.append((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h))
+        d2.append((-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h))
+    return PriorPartials(centre, *d1, *d2)
 
 
 @dataclass(frozen=True)

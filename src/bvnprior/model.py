@@ -222,23 +222,17 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     X1 = mu1 + sigma1 Z1, X2 = mu2 + sigma2 (rho Z1 + sqrt(1-rho^2) Z2).
     Returns an (n, 2) array.
     """
-    return _sample_stack(p, n, [seed])[0]
-
-
-def _sample_stack(p: OriginalParams, n: int, seeds) -> np.ndarray:
-    """Draw one dataset per seed as an (R, n, 2) stack.
-
-    Slice j uses its own generator default_rng(seeds[j]) and is
-    bit-identical to sample(p, n, seeds[j]).
-    """
     if n < 1:
         raise DomainError("sample requires n >= 1")
-    z = np.empty((len(seeds), n, 2))
-    for j, seed in enumerate(seeds):
-        np.random.default_rng(seed).standard_normal(out=z[j])
+    z = np.random.default_rng(seed).standard_normal((n, 2))
+    return np.stack(_transform(p, z), axis=-1)
+
+
+def _transform(p: OriginalParams, z):
+    """(X1, X2) from standard normal draws z[..., 0] = Z1, z[..., 1] = Z2."""
     x1 = p.mu1 + p.sigma1 * z[..., 0]
     x2 = p.mu2 + p.sigma2 * (p.rho * z[..., 0] + math.sqrt(1.0 - p.rho * p.rho) * z[..., 1])
-    return np.stack([x1, x2], axis=-1)
+    return x1, x2
 
 
 def _centered_sums(x1, x2):

@@ -4,6 +4,12 @@ Each test prints a [acceptance] PASS line (visible with pytest -s or -rA)
 after its assertions hold. The frozen coverage references are prior
 simulation results for the same grid; both carry Monte Carlo noise of
 about 0.003 at 5000 replicates, which sets the 0.015 comparison band.
+
+Under the matching prior every coverage equals the level exactly, so the
+exact binomial gate tests each of the 45 hit counts against the level,
+with Holm's step-down correction at family-wise alpha 0.001: a correct
+engine trips it with probability at most 0.001. The mutation tests show
+that this gate and the per-cell KS gate both reject real defects.
 """
 
 import math
@@ -11,6 +17,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy import special, stats
 from scipy.integrate import quad
 
 from bvnprior.cli import main
@@ -28,6 +35,12 @@ from bvnprior.matching import (
 )
 from bvnprior.model import OrthogonalParams, SufficientStats
 from bvnprior.posterior import (
+    GAMMA,
+    BetaPosterior,
+    EtaPosterior,
+    PrecisionPosterior,
+    StandardFamily,
+    ThetaPosterior,
     beta_posterior,
     eta_posterior,
     precision_posterior,
@@ -59,10 +72,44 @@ REF_STATS = SufficientStats(
 
 PARAMS = ("beta", "theta", "eta")
 
+KS_ALPHA = 0.01  # per-cell, per-parameter KS gate
+FAMILY_ALPHA = 0.001  # Holm family-wise alpha of the exact binomial gate
+
 
 @pytest.fixture(scope="module")
 def full_table():
     return run_table(replicates=5000, seed=DEFAULT_SEED)
+
+
+def _ks_pvalues(report):
+    """{(rho, n, param): KS p-value of the posterior CDF values at the truth}."""
+    return {
+        (cell.rho, cell.n, param): pvalue
+        for cell in report.cells
+        for param, (_, pvalue) in ks_uniformity(cell).items()
+    }
+
+
+def _binomial_pvalues(report):
+    """{(rho, n, param): exact two-sided binomial p of the hits against level}."""
+    out = {}
+    for cell in report.cells:
+        for param in PARAMS:
+            hits = round(cell.coverage[param] * cell.replicates_used)
+            test = stats.binomtest(hits, cell.replicates_used, report.level)
+            out[(cell.rho, cell.n, param)] = test.pvalue
+    return out
+
+
+def _holm_rejections(pvalues, alpha=FAMILY_ALPHA):
+    """Keys that Holm's step-down procedure rejects at family-wise alpha."""
+    ordered = sorted(pvalues.items(), key=lambda item: item[1])
+    rejected = []
+    for i, (key, pvalue) in enumerate(ordered):
+        if pvalue > alpha / (len(ordered) - i):
+            break
+        rejected.append(key)
+    return rejected
 
 
 def test_acceptance_coverage_grid(full_table):
@@ -92,14 +139,73 @@ def test_acceptance_coverage_grid_fast_variant():
     print(f"[acceptance] coverage grid 1000 reps: PASS (worst gap {worst:.4f})")
 
 
+def test_acceptance_coverage_exact_binomial(full_table):
+    """Each of the 45 hit counts is binomial(used, level), Holm at 0.001."""
+    pvalues = _binomial_pvalues(full_table)
+    assert len(pvalues) == 45
+    assert _holm_rejections(pvalues) == []
+    print(
+        "[acceptance] exact binomial coverage gate: PASS "
+        f"(min p {min(pvalues.values()):.3f}, first Holm threshold "
+        f"{FAMILY_ALPHA / len(pvalues):.1e})"
+    )
+
+
 def test_acceptance_posterior_cdf_uniformity(full_table):
     """Exact matching: posterior CDF values of the truth are U(0,1) per cell."""
-    min_p = 1.0
-    for cell in full_table.cells:
-        for param, (stat, pvalue) in ks_uniformity(cell).items():
-            min_p = min(min_p, pvalue)
-            assert pvalue >= 0.01, (cell.rho, cell.n, param, pvalue)
-    print(f"[acceptance] KS uniformity of CDF values: PASS (min p {min_p:.3f})")
+    pvalues = _ks_pvalues(full_table)
+    for key, pvalue in pvalues.items():
+        assert pvalue >= KS_ALPHA, (key, pvalue)
+    print(f"[acceptance] KS uniformity of CDF values: PASS (min p {min(pvalues.values()):.3f})")
+
+
+def _slope_scale_without_1_over_s11(monkeypatch):
+    def pivot(n, s11, s12, s22_1):
+        return s12 / s11, np.sqrt(s22_1 / (n - 2))
+
+    monkeypatch.setattr(BetaPosterior, "pivot", staticmethod(pivot))
+
+
+def _eta_exponent_off_by_one(monkeypatch):
+    # density eta^(n-1) (eta^2 + c)^-(n-3/2) in place of eta^(n-2) (...):
+    # the posterior of a prior that lost its 1/eta factor, with
+    # Z^2 ~ beta-prime(n/2, (n-3)/2) instead of ((n-1)/2, (n-2)/2)
+    def shapes(n):
+        return n / 2.0, (n - 3) / 2.0
+
+    family = StandardFamily(
+        log_norm=lambda n: math.log(2.0) - special.betaln(*shapes(n)),
+        log_kernel=lambda n, z: (n - 1) * np.log(z) - (n - 1.5) * np.log1p(z * z),
+        cdf=lambda n, z: stats.betaprime.cdf(np.square(z), *shapes(n)),
+        quantile=lambda n, p: np.sqrt(stats.betaprime.ppf(p, *shapes(n))),
+        isf=lambda n, q: np.sqrt(stats.betaprime.isf(q, *shapes(n))),
+        mode=lambda n: math.sqrt((n - 1) / (n - 2)),
+        mean=lambda n: None,
+    )
+    monkeypatch.setattr(EtaPosterior, "family", family)
+
+
+def _theta_and_precision_swapped(monkeypatch):
+    monkeypatch.setattr(ThetaPosterior, "pivot", staticmethod(PrecisionPosterior.pivot))
+    monkeypatch.setattr(ThetaPosterior, "family", GAMMA)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_slope_scale_without_1_over_s11, _eta_exponent_off_by_one, _theta_and_precision_swapped],
+)
+def test_acceptance_gates_reject_mutants(mutate, monkeypatch):
+    """Both coverage gates, as run above, reject each broken posterior."""
+    mutate(monkeypatch)
+    table = run_table(replicates=5000, seed=DEFAULT_SEED)
+    ks = _ks_pvalues(table)
+    rejected = _holm_rejections(_binomial_pvalues(table))
+    assert min(ks.values()) < KS_ALPHA
+    assert rejected
+    print(
+        f"[acceptance] gates reject {mutate.__name__.strip('_')}: PASS "
+        f"(min KS p {min(ks.values()):.1e}, {len(rejected)} binomial rejections)"
+    )
 
 
 def test_acceptance_score_moment_suite():

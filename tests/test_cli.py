@@ -190,6 +190,21 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     assert "collinear" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--grid-theta=0.5:inf:3",),
+        ("--grid-beta=-inf:1:3",),
+        ("--grid-eta=nan:2:3",),
+    ],
+)
+def test_non_finite_grid_bounds_exit_3(capsys, argv):
+    code, out, err = run_cli(capsys, "verify-prior", "matching", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "finite" in err
+
+
 def test_unallocatable_sample_count_exits_3(capsys):
     # 1e16 pairs need 142 PiB, beyond the x86-64 user address space, so
     # numpy refuses the allocation at once and no memory is touched

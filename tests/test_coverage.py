@@ -1,11 +1,14 @@
 """Coverage simulation: seeding, determinism, and estimates."""
 
 import csv
+import hashlib
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from bvnprior.coverage import (
     DEFAULT_SEED,
@@ -13,8 +16,9 @@ from bvnprior.coverage import (
     TABLE_RHOS,
     CoverageCellSpec,
     CoverageReport,
+    _cell_seed,
+    _splitmix64,
     ks_uniformity,
-    replicate_seed,
     run_cell,
     run_table,
 )
@@ -22,39 +26,46 @@ import bvnprior.coverage as coverage
 import bvnprior.interval as interval
 from bvnprior.errors import DegenerateDataError, DomainError
 from bvnprior.interval import standard_bounds
-from bvnprior.model import (
-    OriginalParams,
-    _sample_stack,
-    sample,
-    sufficient_stats,
-    to_orthogonal,
-)
+from bvnprior.model import OriginalParams, sample, sufficient_stats, to_orthogonal
 from bvnprior.numerics import reg_inc_beta, reg_inc_gamma_c, student_t_cdf
 from bvnprior.posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 
-def test_replicate_seed_is_a_fixed_function():
+def test_cell_seed_is_a_fixed_function():
     # frozen values: changing the mixing chain would silently re-randomize
     # every published table, so the exact outputs are pinned here
-    from bvnprior.coverage import _splitmix64
 
     # published splitmix64 outputs for state 0 with the golden-ratio gamma
     assert _splitmix64(0) == 0xE220A8397B1DCDAF
     assert _splitmix64(0x9E3779B97F4A7C15) == 0x6E789E6AA1B965F4
-    assert replicate_seed(0, 0, 0) == 2558736989570252433
-    assert replicate_seed(20250815, 0, 0) == 6197552301374260282
-    assert replicate_seed(20250815, 3, 41) == 12213173004894578220
+    assert _cell_seed(0, 0) == 12035550249420947055
+    assert _cell_seed(20250815, 0) == 11298917987528620332
+    assert _cell_seed(20250815, 3) == 14620909545031286804
+    assert _cell_seed(2**64 - 1, 14) == 18428307901362949951
 
 
-def test_replicate_seed_avoids_collisions_across_axes():
-    seen = {
-        replicate_seed(s, k, j)
-        for s in (1, 2)
-        for k in range(30)
-        for j in range(50)
-    }
-    assert len(seen) == 2 * 30 * 50
+def test_cell_seed_avoids_collisions_across_axes():
+    seen = {_cell_seed(s, k) for s in range(40) for k in range(200)}
+    assert len(seen) == 40 * 200
     assert all(0 <= v < 2**64 for v in seen)
+
+
+def test_run_table_stream_is_pinned():
+    # any change to the seeding chain, the draw layout or the transform
+    # changes these bytes; a stream change must update this hash knowingly
+    csv_text = run_table(rhos=(0.25, 0.75), ns=(4, 8), replicates=200, seed=77).to_csv()
+    digest = hashlib.sha256(csv_text.encode()).hexdigest()
+    assert digest == "78a71b2cdb479787f51f1efd35e5a889438b7e168cb659a44b0fb8a36a54f4f3"
+
+
+def test_sample_stream_is_pinned():
+    # sample() feeds the CLI sample command and verify-lemma; its draws are
+    # default_rng(seed).standard_normal((n, 2)) through the X1/X2 transform
+    p = OriginalParams(1.0, -2.0, 0.5, 3.0, -0.7)
+    data = sample(p, 6, 12)
+    assert data.shape == (6, 2)
+    digest = hashlib.sha256(data.tobytes()).hexdigest()
+    assert digest == "a92055db2393c0d16a3f502191e130a65d3a5016e8c0dea03c2df9a91b743f9e"
 
 
 def test_cell_spec_validation():
@@ -187,11 +198,24 @@ def test_ks_uniformity_returns_tests_per_parameter():
         assert pvalue > 0.01
 
 
+@pytest.mark.parametrize("replicates", [400, 5000])
+def test_ks_uniformity_equals_scipy_kstest(replicates):
+    cell = run_cell(CoverageCellSpec(rho=0.25, n=4, replicates=replicates, seed=61), 1)
+    out = ks_uniformity(cell)
+    for param in ("beta", "theta", "eta"):
+        ref = stats.kstest(cell.cdf_values[param], "uniform")
+        assert out[param] == (float(ref.statistic), float(ref.pvalue))
+    # a sample far from uniform, where D- is the larger side
+    skewed = replace(cell, cdf_values={p: v**0.5 for p, v in cell.cdf_values.items()})
+    for param, (stat, pvalue) in ks_uniformity(skewed).items():
+        ref = stats.kstest(skewed.cdf_values[param], "uniform")
+        assert (stat, pvalue) == (float(ref.statistic), float(ref.pvalue))
+        assert ref.statistic_sign == -1
+
+
 def test_ks_uniformity_rejects_failed_cell():
     failed = run_table(rhos=(0.5,), ns=(4,), replicates=150, seed=3).cells[0]
     # fabricate a failed result to exercise the guard
-    from dataclasses import replace
-
     broken = replace(failed, error="boom")
     with pytest.raises(DomainError):
         ks_uniformity(broken)
@@ -202,21 +226,18 @@ def test_run_table_rejects_empty_grid():
         run_table(rhos=(), ns=(4,), replicates=200)
 
 
-def test_sample_stack_matches_one_draw_per_seed():
-    p = OriginalParams(1.0, -2.0, 0.5, 3.0, -0.7)
-    seeds = [replicate_seed(DEFAULT_SEED, 4, j) for j in range(5)] + [0, 2**64 - 1]
-    stack = _sample_stack(p, 6, seeds)
-    assert stack.shape == (len(seeds), 6, 2)
-    for j, seed in enumerate(seeds):
-        single = sample(p, 6, seed)
-        assert single.shape == (6, 2)
-        assert np.array_equal(stack[j], single)
-
-
 def _reference_cell(spec, cell_index):
-    """Replicate-by-replicate coverage cell from the public model functions."""
+    """Replicate-by-replicate coverage cell from the public model functions.
+
+    Replicate j is slice j of the cell's one (replicates, n, 2) normal
+    stream, mapped to pairs by the construction sample() documents.
+    """
     base = OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho)
     truth = to_orthogonal(base)
+    normals = np.random.default_rng(_cell_seed(spec.seed, cell_index)).standard_normal(
+        (spec.replicates, spec.n, 2)
+    )
+    root = math.sqrt(1.0 - spec.rho * spec.rho)
     beta_b, theta_b, eta_b = (
         standard_bounds(cls.family, spec.n, spec.level, spec.kind)
         for cls in (BetaPosterior, ThetaPosterior, EtaPosterior)
@@ -226,7 +247,8 @@ def _reference_cell(spec, cell_index):
     cdf = {"beta": [], "theta": [], "eta": []}
     failures = 0
     for j in range(spec.replicates):
-        data = sample(base, spec.n, replicate_seed(spec.seed, cell_index, j))
+        z1, z2 = normals[j, :, 0], normals[j, :, 1]
+        data = np.column_stack([z1, spec.rho * z1 + root * z2])
         try:
             st = sufficient_stats(data)
         except DegenerateDataError:

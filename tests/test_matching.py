@@ -17,6 +17,7 @@ from bvnprior.matching import (
     FLAT_PRIOR,
     MATCHING_PRIOR,
     GridSpec,
+    PriorPartials,
     ResidualReport,
     _fd_partials,
     PriorSpec,
@@ -111,6 +112,13 @@ def test_grid_spec_validation_and_axes():
         GridSpec(theta=(0.0, 2.0, 9))
     with pytest.raises(DomainError):
         GridSpec(eta=(0.5, 2.0, 1))
+    for bad in (
+        dict(theta=(0.5, math.inf, 3)),
+        dict(beta=(-math.inf, 1.0, 3)),
+        dict(eta=(math.nan, 2.0, 3)),
+    ):
+        with pytest.raises(DomainError, match="finite"):
+            GridSpec(**bad)
     g = GridSpec(beta=(-1.0, 1.0, 3), theta=(1.0, 2.0, 2), eta=(1.0, 2.0, 2))
     bax, tax, eax = g.axes()
     assert list(bax) == [-1.0, 0.0, 1.0]
@@ -182,6 +190,61 @@ def test_report_serializations():
 
 
 # -- references: one condition and one grid point at a time ---------------
+
+
+def reference_fd_partials(log_prior, b, t, e):
+    """The 28-evaluation stencil: every difference evaluates its own points."""
+
+    def pi(bb, tt, ee):
+        return math.exp(log_prior(bb, tt, ee))
+
+    def steps(x, positive):
+        h = 1e-4 * max(1.0, abs(x))
+        if positive:
+            h = min(h, x / 4.0)
+        return h
+
+    def d1(f, x, h):
+        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+
+    def d2(f, x, h):
+        return (
+            -f(x + 2 * h) + 16 * f(x + h) - 30 * f(x) + 16 * f(x - h) - f(x - 2 * h)
+        ) / (12 * h * h)
+
+    hb, ht, he = steps(b, False), steps(t, True), steps(e, True)
+    fb = lambda x: pi(x, t, e)
+    ft = lambda x: pi(b, x, e)
+    fe = lambda x: pi(b, t, x)
+    return PriorPartials(
+        value=pi(b, t, e),
+        d_beta=d1(fb, b, hb),
+        d_theta=d1(ft, t, ht),
+        d_eta=d1(fe, e, he),
+        d2_beta=d2(fb, b, hb),
+        d2_theta=d2(ft, t, ht),
+        d2_eta=d2(fe, e, he),
+    )
+
+
+def _skewed_log_prior(b, t, e):
+    # depends on every coordinate, so no difference is trivially zero
+    return 0.3 * b * b - 0.7 * b - 1.5 * math.log(t) + math.sin(e) - 2.0 * math.log(e)
+
+
+@pytest.mark.parametrize("log_prior", [MATCHING_PRIOR.log_prior, FLAT_PRIOR.log_prior, _skewed_log_prior])
+def test_fd_partials_share_13_evaluations_and_equal_the_28_call_stencil(log_prior):
+    calls = []
+
+    def counted(b, t, e):
+        calls.append((b, t, e))
+        return log_prior(b, t, e)
+
+    for b, t, e in [(-2.0, 0.5, 0.5), (0.3, 1.7, 2.9), (1e-9, 4e-4, 3.0), (15.0, 2.0, 1e-3)]:
+        del calls[:]
+        fast = _fd_partials(counted, b, t, e)
+        assert len(calls) == len(set(calls)) == 13
+        assert fast == reference_fd_partials(log_prior, b, t, e)
 
 
 def reference_pde_residual(condition, prior, grid):
