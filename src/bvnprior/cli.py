@@ -3,7 +3,8 @@
 Subcommands: sample, stats, posterior, interval, coverage, verify-lemma,
 verify-prior. Exit codes: 0 success, 2 usage error, 3 data or domain
 error, unreadable file or a size too large to allocate, 4 numerical
-failure (including failed verification checks).
+failure (including failed verification checks, and float overflow or
+division by zero at extreme parameters).
 All output is deterministic: rerunning a command with the same flags and
 seed produces byte-identical bytes.
 """
@@ -23,7 +24,7 @@ from .errors import (
     DomainError,
     NumericalError,
 )
-from .interval import equal_tailed, hpd_unimodal, one_sided
+from .interval import KINDS, equal_tailed, hpd_unimodal, one_sided
 from .matching import (
     FLAT_PRIOR,
     MATCHING_PRIOR,
@@ -261,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="hpd",
-        choices=("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided"),
+        choices=KINDS,
     )
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument("--output", default=None, help="output path (default stdout)")
@@ -275,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kind",
         default="hpd",
-        choices=("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided"),
+        choices=KINDS,
     )
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", default="csv", choices=("csv", "markdown"))
@@ -327,6 +328,10 @@ def main(argv=None) -> int:
         return 3
     except (NumericalError, BracketError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 4
+    except ArithmeticError as exc:
+        # float overflow or division by zero at extreme parameters
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
     except (OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -41,7 +41,7 @@ import numpy as np
 from scipy import stats as _sp_stats
 
 from .errors import BvnPriorError, DegenerateDataError, DomainError
-from .interval import standard_bounds
+from .interval import KINDS, standard_bounds
 # sample and sufficient_stats are not called here; they stay bound in
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
@@ -76,7 +76,6 @@ TABLE_NS = (4, 8, 12, 16, 20)
 
 _POSTERIORS = {"beta": BetaPosterior, "theta": ThetaPosterior, "eta": EtaPosterior}
 _PARAMS = tuple(_POSTERIORS)
-_KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
 
 _MASK64 = (1 << 64) - 1
 
@@ -124,7 +123,7 @@ class CoverageCellSpec:
             raise DomainError("level must lie strictly between 0 and 1")
         if self.replicates < 100:
             raise DomainError("coverage needs at least 100 replicates")
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown interval kind {self.kind!r}")
 
 

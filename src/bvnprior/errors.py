@@ -2,8 +2,9 @@
 
 The command-line interface maps these onto exit codes: usage problems are
 handled by argparse itself, :class:`DomainError` and
-:class:`DegenerateDataError` exit with code 3, :class:`NumericalError`
-and :class:`BracketError` with code 4.
+:class:`DegenerateDataError` exit with code 3, :class:`BracketError` and
+any ArithmeticError (:class:`NumericalError`, float overflow, division by
+zero) with code 4.
 """
 
 from __future__ import annotations

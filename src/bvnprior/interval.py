@@ -40,9 +40,10 @@ __all__ = [
     "equal_tailed",
     "one_sided",
     "standard_bounds",
+    "KINDS",
 ]
 
-_KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
+KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class CredibleInterval:
     achieved_mass: float
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise DomainError(f"unknown interval kind {self.kind!r}")
         if not 0.0 < self.level < 1.0:
             raise DomainError("level must lie strictly between 0 and 1")

@@ -6,10 +6,7 @@ Two independent kinds of evidence are produced:
   the closed-form moment identities for products and third derivatives of
   the log density that every matching argument below relies on (for
   example E[d^3 log f / d theta^3] = 4/theta^3). Every integrand is a
-  polynomial in the residuals u = x2 - mu2 - beta (x1 - mu1) and
-  v = x1 - mu1, so u and v are computed once per draw and each integrand
-  is built from the shared powers u^2, v^2, uv and
-  A = u^2/(2 eta) + eta v^2/2.
+  product of the exact log-density partials of model._partial.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for posterior quantiles,
@@ -33,9 +30,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from functools import partial
-from operator import attrgetter
-from typing import Callable, NamedTuple
+from functools import partial, reduce
+from operator import attrgetter, mul
+from typing import Callable
 
 import numpy as np
 
@@ -44,7 +41,8 @@ from .errors import DomainError
 # because the benchmark's span recorder wraps matching.log_density_partial
 from .model import (
     OrthogonalParams,
-    _residuals,
+    _partial,
+    _residual_powers,
     log_density_partial,  # noqa: F401
     sample,
     to_original,
@@ -462,82 +460,25 @@ class ExpectationCheck:
     passed: bool
 
 
-class _ResidualPowers(NamedTuple):
-    """Shared powers of the residuals u = x2 - mu2 - beta v, v = x1 - mu1."""
-
-    u2: np.ndarray
-    v2: np.ndarray
-    uv: np.ndarray
-    a: np.ndarray  # A = u^2/(2 eta) + eta v^2/2, so log f = -log(2 pi theta) - A/theta
-
-
-def _residual_powers(params: OrthogonalParams, data) -> _ResidualPowers:
-    u, v = _residuals(params, data[:, 0], data[:, 1])
-    uv = u * v
-    # u and v are fresh arrays: square them in place
-    u2, v2 = np.square(u, out=u), np.square(v, out=v)
-    return _ResidualPowers(u2, v2, uv, 0.5 * (u2 / params.eta + params.eta * v2))
-
-
-def _cube(x):
-    # an array ** 3 goes through the general pow, several times slower
-    return x * x * x
-
-
-# Each entry: (label, integrand(r, theta, eta), claim(theta, eta)), with r
-# the _ResidualPowers of the draws. The integrands are products of the
-# exact partials of log f = -log(2 pi theta) - A/theta:
-#   dl/dbeta  = uv / (eta theta)          d2l/dbeta2  = -v^2 / (eta theta)
-#   dl/dtheta = A/theta^2 - 1/theta       d2l/dtheta2 = 1/theta^2 - 2A/theta^3
-#   dl/deta   = (u^2/eta^2 - v^2) / (2 theta)
-#   d2l/deta2 = -u^2 / (eta^3 theta)
-# and their further derivatives (du/dbeta = -v, dA/deta = -u^2/(2 eta^2) + v^2/2).
+# Each entry: (label, factors, claim(theta, eta)). factors lists the
+# (beta, theta, eta) derivative orders of the log-density partials whose
+# product is the integrand.
 _MOMENTS = (
-    ("E[(dl/dbeta)^3]",
-     lambda r, t, e: _cube(r.uv / (e * t)),
-     lambda t, e: 0.0),
-    ("E[(dl/dbeta)(d2l/dbeta2)]",
-     lambda r, t, e: r.uv * r.v2 * (-1.0 / (e * t) ** 2),
-     lambda t, e: 0.0),
-    ("E[d3l/dbeta3]",
-     lambda r, t, e: np.zeros_like(r.uv),
-     lambda t, e: 0.0),
-    ("E[d3l/dbeta2 dtheta]",
-     lambda r, t, e: r.v2 / (e * t * t),
-     lambda t, e: 1.0 / (t * e * e)),
-    ("E[d3l/dbeta2 deta]",
-     lambda r, t, e: r.v2 / (e * e * t),
-     lambda t, e: 1.0 / e ** 3),
-    ("E[d3l/dbeta dtheta2]",
-     lambda r, t, e: r.uv * (2.0 / (e * t ** 3)),
-     lambda t, e: 0.0),
-    ("E[d3l/dbeta deta2]",
-     lambda r, t, e: r.uv * (2.0 / (e ** 3 * t)),
-     lambda t, e: 0.0),
-    ("E[(dl/dtheta)^3]",
-     lambda r, t, e: _cube(r.a / t ** 2 - 1.0 / t),
-     lambda t, e: 2.0 / t ** 3),
-    ("E[(dl/dtheta)(d2l/dtheta2)]",
-     lambda r, t, e: (r.a / t ** 2 - 1.0 / t) * (1.0 / t ** 2 - r.a * (2.0 / t ** 3)),
-     lambda t, e: -2.0 / t ** 3),
-    ("E[d3l/dtheta3]",
-     lambda r, t, e: r.a * (6.0 / t ** 4) - 2.0 / t ** 3,
-     lambda t, e: 4.0 / t ** 3),
-    ("E[d3l/dtheta2 deta]",
-     lambda r, t, e: (r.u2 / e ** 2 - r.v2) / t ** 3,
-     lambda t, e: 0.0),
-    ("E[d3l/dtheta deta2]",
-     lambda r, t, e: r.u2 / (e ** 3 * t * t),
-     lambda t, e: 1.0 / (t * e * e)),
-    ("E[(dl/deta)^3]",
-     lambda r, t, e: _cube((r.u2 / e ** 2 - r.v2) / (2.0 * t)),
-     lambda t, e: 0.0),
-    ("E[(dl/deta)(d2l/deta2)]",
-     lambda r, t, e: (r.u2 / e ** 2 - r.v2) * r.u2 * (-1.0 / (2.0 * e ** 3 * t * t)),
-     lambda t, e: -1.0 / e ** 3),
-    ("E[d3l/deta3]",
-     lambda r, t, e: r.u2 * (3.0 / (e ** 4 * t)),
-     lambda t, e: 3.0 / e ** 3),
+    ("E[(dl/dbeta)^3]", ((1, 0, 0),) * 3, lambda t, e: 0.0),
+    ("E[(dl/dbeta)(d2l/dbeta2)]", ((1, 0, 0), (2, 0, 0)), lambda t, e: 0.0),
+    ("E[d3l/dbeta3]", ((3, 0, 0),), lambda t, e: 0.0),
+    ("E[d3l/dbeta2 dtheta]", ((2, 1, 0),), lambda t, e: 1.0 / (t * e * e)),
+    ("E[d3l/dbeta2 deta]", ((2, 0, 1),), lambda t, e: 1.0 / e ** 3),
+    ("E[d3l/dbeta dtheta2]", ((1, 2, 0),), lambda t, e: 0.0),
+    ("E[d3l/dbeta deta2]", ((1, 0, 2),), lambda t, e: 0.0),
+    ("E[(dl/dtheta)^3]", ((0, 1, 0),) * 3, lambda t, e: 2.0 / t ** 3),
+    ("E[(dl/dtheta)(d2l/dtheta2)]", ((0, 1, 0), (0, 2, 0)), lambda t, e: -2.0 / t ** 3),
+    ("E[d3l/dtheta3]", ((0, 3, 0),), lambda t, e: 4.0 / t ** 3),
+    ("E[d3l/dtheta2 deta]", ((0, 2, 1),), lambda t, e: 0.0),
+    ("E[d3l/dtheta deta2]", ((0, 1, 2),), lambda t, e: 1.0 / (t * e * e)),
+    ("E[(dl/deta)^3]", ((0, 0, 1),) * 3, lambda t, e: 0.0),
+    ("E[(dl/deta)(d2l/deta2)]", ((0, 0, 1), (0, 0, 2)), lambda t, e: -1.0 / e ** 3),
+    ("E[d3l/deta3]", ((0, 0, 3),), lambda t, e: 3.0 / e ** 3),
 )
 
 
@@ -550,20 +491,25 @@ def verify_score_moments(
 
     Draws n_samples observations from the model at params and averages the
     corresponding product of log-density derivatives for each identity.
-    The derivatives are exact, built from the residual powers shared by
-    all identities, so a check passes when |estimate - claim| <= 4 * stderr;
-    an identically zero integrand gives estimate 0 with stderr 0.
+    The partials are exact (model._partial) and built from residual powers
+    shared by all identities, so a check passes when
+    |estimate - claim| <= 4 * stderr; an identically zero integrand gives
+    estimate 0 with stderr 0.
     """
     if n_samples < 100_000:
         raise DomainError("verify_score_moments needs n_samples >= 100000")
-    powers = _residual_powers(params, sample(to_original(params), n_samples, seed))
+    # the (n_samples, 2) draws are freed once the residual powers exist
+    powers = _residual_powers(params, *sample(to_original(params), n_samples, seed).T)
     t, e = params.theta, params.eta
     checks = []
     # one integrand at a time keeps as few n_samples-long arrays alive as possible
-    for label, integrand, claim in _MOMENTS:
-        vals = integrand(powers, t, e)
+    for label, factors, claim in _MOMENTS:
+        partials = {f: _partial(powers, t, e, f) for f in factors}
+        vals = reduce(mul, (partials[f] for f in factors))
         estimate = float(np.mean(vals))
-        stderr = float(np.std(vals, ddof=1) / math.sqrt(n_samples))
+        # np.std's sum of squares without its copy: vals is not used again
+        vals -= estimate
+        stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
         claimed = claim(t, e)
         passed = abs(estimate - claimed) <= 4.0 * stderr
         checks.append(

@@ -130,20 +130,22 @@ class SufficientStats:
 def to_orthogonal(p: OriginalParams) -> OrthogonalParams:
     """Map (mu, sigma, rho) to the orthogonal (mu, beta, theta, eta)."""
     root = math.sqrt(1.0 - p.rho * p.rho)
+    ratio = p.sigma2 / p.sigma1
     return OrthogonalParams(
         mu1=p.mu1,
         mu2=p.mu2,
-        beta=p.rho * p.sigma2 / p.sigma1,
+        beta=p.rho * ratio,
         theta=p.sigma1 * p.sigma2 * root,
-        eta=p.sigma2 * root / p.sigma1,
+        eta=ratio * root,
     )
 
 
 def to_original(p: OrthogonalParams) -> OriginalParams:
-    """Inverse of to_orthogonal; round-trips to ~1e-14 relative."""
-    sigma1 = math.sqrt(p.theta / p.eta)
-    sigma2 = math.sqrt(p.theta * (p.eta * p.eta + p.beta * p.beta) / p.eta)
-    rho = p.beta * sigma1 / sigma2
+    """Inverse of to_orthogonal, to ~1e-14 relative; no intermediate overflows first."""
+    sigma1 = math.sqrt(p.theta) / math.sqrt(p.eta)
+    s = math.hypot(p.eta, p.beta)
+    sigma2 = sigma1 * s
+    rho = p.beta / s
     return OriginalParams(mu1=p.mu1, mu2=p.mu2, sigma1=sigma1, sigma2=sigma2, rho=rho)
 
 
@@ -178,40 +180,58 @@ def log_density(p: OrthogonalParams, x1, x2):
     return float(out) if np.isscalar(x1) and np.isscalar(x2) else out
 
 
-# d^i/dbeta^i of u^2, i = 0..3, since du/dbeta = -v
-_U2_BETA_PARTIALS = (
-    lambda u, v: u * u,
-    lambda u, v: -2.0 * u * v,
-    lambda u, v: 2.0 * v * v,
-    lambda u, v: 0.0 * u,
-)
+def _residual_powers(p: OrthogonalParams, x1, x2):
+    """(u^2, uv, v^2) as the rows of one array; u and v are squared in place.
+
+    One block is freed whole, where three arrays could stay in the heap."""
+    powers = np.empty((3,) + np.broadcast_shapes(np.shape(x1), np.shape(x2)))
+    u, uv, v = (powers[i, ...] for i in range(3))  # views, even of 0-d rows
+    np.subtract(x1, p.mu1, out=v)
+    np.subtract(x2, p.mu2, out=u)
+    u -= p.beta * v
+    np.multiply(u, v, out=uv)
+    u *= u
+    v *= v
+    return powers
+
+
+def _partial(powers, theta, eta, orders):
+    """Exact partial of log f of orders (i, k, j) in (beta, theta, eta).
+
+    powers is (u^2, uv, v^2) from _residual_powers, and
+    log f = -log(2 pi theta) - A/theta with A = u^2/(2 eta) + eta v^2/2.
+    d^i/dbeta^i u^2 is (1, -2, 2, 0)[i] * powers[i], as du/dbeta = -v;
+    d^j/deta^j 1/(2 eta) = (-1)^j j!/(2 eta^(j+1)); d^k/dtheta^k -1/theta
+    = (-1)^(k+1) k!/theta^(k+1); eta v^2/2 enters only where i = 0 and
+    j < 2, and -log theta only the pure theta partials.
+    """
+    i, k, j = orders
+    d_theta = (-1) ** (k + 1) * math.factorial(k) / theta ** (k + 1)
+    if i == 3:
+        out = np.zeros_like(powers[1])
+    else:
+        d_eta = (-1) ** j * math.factorial(j) / (2.0 * eta ** (j + 1))
+        out = powers[i] * ((1.0, -2.0, 2.0)[i] * d_eta * d_theta)
+    if i == 0 and j < 2:
+        out += powers[2] * (0.5 * (eta if j == 0 else 1.0) * d_theta)
+    if i == j == 0:
+        out += (-1) ** k * math.factorial(k - 1) / theta ** k
+    return out
 
 
 def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
     """Partial derivative of log f with respect to (beta, theta, eta).
 
     multi_index is a triple of non-negative derivative orders, one per
-    parameter, with total order between 1 and 3. Writing
-    log f = -log(2 pi theta) - A/theta with A = u^2/(2 eta) + eta v^2/2,
-    every partial is exact: the beta derivatives of u^2 are u^2, -2uv,
-    2v^2, 0; d^j/deta^j 1/(2 eta) = (-1)^j j!/(2 eta^(j+1));
-    d^k/dtheta^k 1/theta = (-1)^k k!/theta^(k+1); and -log theta enters
-    only the pure theta partials. Vectorized over x1, x2.
+    parameter, with total order between 1 and 3. Every partial is exact
+    (see _partial). Vectorized over x1, x2.
     """
     orders = tuple(int(k) for k in multi_index)
     if len(orders) != 3 or any(k < 0 for k in orders):
         raise DomainError("multi_index must be three non-negative integers")
-    i, k, j = orders
-    if not 1 <= i + j + k <= 3:
+    if not 1 <= sum(orders) <= 3:
         raise DomainError("total derivative order must be 1, 2, or 3")
-    u, v = _residuals(p, x1, x2)
-    t, e = p.theta, p.eta
-    d_a = _U2_BETA_PARTIALS[i](u, v) * ((-1) ** j * math.factorial(j) / (2.0 * e ** (j + 1)))
-    if i == 0 and j < 2:
-        d_a = d_a + 0.5 * v * v * (e if j == 0 else 1.0)
-    out = -d_a * ((-1) ** k * math.factorial(k) / t ** (k + 1))
-    if i == j == 0:
-        out = out + (-1) ** k * math.factorial(k - 1) / t ** k
+    out = _partial(_residual_powers(p, x1, x2), p.theta, p.eta, orders)
     return float(out) if np.isscalar(x1) and np.isscalar(x2) else out
 
 
@@ -224,6 +244,8 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("sample requires n >= 1")
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
     z = np.random.default_rng(seed).standard_normal((n, 2))
     return np.stack(_transform(p, z), axis=-1)
 

@@ -160,38 +160,49 @@ def reg_inc_beta_inv(a, b, p):
 def student_t_cdf(df, t):
     """CDF of the standard Student t with df > 0 degrees of freedom.
 
-    Uses the identity F(t) = 1 - I_z(df/2, 1/2)/2 with z = df/(df + t^2)
-    for t >= 0, extended to t < 0 by symmetry. Accepts array t.
+    The tail mass P(|T| > |t|) is I_z(df/2, 1/2) with z = df/(df + t^2).
+    Where t^2 < df, z rounds towards 1, so the central mass
+    P(|T| < |t|) = I_x(1/2, df/2) at x = t^2/(df + t^2) is used instead:
+    F(t) = 1/2 +- I_x(1/2, df/2)/2. Accepts array t.
     """
     if not np.all(np.asarray(df, dtype=float) > 0.0):
         raise DomainError("student_t_cdf requires df > 0")
     t_arr = np.asarray(t, dtype=float)
     if np.any(np.isnan(t_arr)):
         raise DomainError("student_t_cdf requires finite t")
-    z = df / (df + t_arr * t_arr)
-    half_tail = 0.5 * _sp.betainc(df / 2.0, 0.5, z)
-    out = np.where(t_arr >= 0.0, 1.0 - half_tail, half_tail)
-    out = np.where(np.isposinf(t_arr), 1.0, out)
-    out = np.where(np.isneginf(t_arr), 0.0, out)
+    half = np.asarray(df, dtype=float) / 2.0
+    t2 = t_arr * t_arr
+    near = t2 < df
+    mass = _sp.betainc(
+        np.where(near, 0.5, half), np.where(near, half, 0.5), np.where(near, t2, df) / (df + t2)
+    )
+    far = np.where(t_arr >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
+    out = np.where(near, 0.5 + np.copysign(0.5 * mass, t_arr), far)
     return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
 
 
 def student_t_quantile(df, p):
     """Quantile of the standard Student t; exact inverse of student_t_cdf.
 
-    Inverts the incomplete-beta representation directly: for p >= 1/2,
-    z = I^{-1}(df/2, 1/2; 2(1-p)) and t = sqrt(df (1-z)/z).
+    Inverts the incomplete-beta representation directly. With tail
+    2 min(p, 1-p): z = I^{-1}(df/2, 1/2; tail) and t = sqrt(df (1-z)/z).
+    Where tail > 1/2, z rounds towards 1, so the complement
+    x = I^{-1}(1/2, df/2; |1-2p|) = 1 - z gives t = sqrt(df x/(1-x)).
     """
     if not np.all(np.asarray(df, dtype=float) > 0.0):
         raise DomainError("student_t_quantile requires df > 0")
     _check_prob(p)
     p_arr = np.asarray(p, dtype=float)
+    half = np.asarray(df, dtype=float) / 2.0
     tail = 2.0 * np.minimum(p_arr, 1.0 - p_arr)
+    near = tail > 0.5
     with np.errstate(divide="ignore"):
-        z = _sp.betaincinv(np.asarray(df, dtype=float) / 2.0, 0.5, tail)
-        mag = np.sqrt(df * (1.0 - z) / z)
+        x = _sp.betaincinv(
+            np.where(near, 0.5, half), np.where(near, half, 0.5),
+            np.where(near, np.abs(1.0 - 2.0 * p_arr), tail),
+        )
+        mag = np.sqrt(df * np.where(near, x / (1.0 - x), (1.0 - x) / x))
     out = np.where(p_arr >= 0.5, mag, -mag)
-    out = np.where(p_arr == 0.5, 0.0, out)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 
 

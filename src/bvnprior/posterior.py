@@ -105,9 +105,16 @@ def _eta_log_beta(n):
 
 
 def _eta_quantile(n, p):
-    u = np.asarray(numerics.reg_inc_beta_inv((n - 1) / 2.0, (n - 2) / 2.0, p))
+    # I_u(a, b) = p at u = z^2/(1 + z^2); above the median u rounds to 1
+    # long before 1 - p is negligible, so there v = 1 - u = I^-1_(1-p)(b, a)
+    p = np.asarray(p, dtype=float)
+    upper = p > 0.5
+    a, b = (n - 1) / 2.0, (n - 2) / 2.0
+    x = np.asarray(numerics.reg_inc_beta_inv(
+        np.where(upper, b, a), np.where(upper, a, b), np.where(upper, 1.0 - p, p)
+    ))
     with np.errstate(divide="ignore"):
-        return np.sqrt(u / (1.0 - u))
+        return np.sqrt(np.where(upper, (1.0 - x) / x, x / (1.0 - x)))
 
 
 def _eta_upper_tail(n, z):

@@ -214,6 +214,26 @@ def test_unallocatable_sample_count_exits_3(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--n", "5", "--seed", "-1"),
+        ("verify-lemma", "--samples", "100000", "--seed", "-1"),
+        ("verify-lemma", "--samples", "100000", "--sigma1", "1e200"),
+        ("verify-lemma", "--samples", "100000", "--sigma1", "1e-200"),
+        ("verify-lemma", "--samples", "100000", "--sigma1", "1e100"),
+    ],
+)
+def test_extreme_inputs_exit_cleanly(capsys, argv):
+    # overflow in the moment checks is allowed to warn; it may not escape
+    with np.errstate(all="ignore"):
+        code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 3, 4)
+    assert "Traceback" not in err
+    if code:
+        assert err.splitlines()[-1].startswith("error:")
+
+
 def test_output_flag_writes_files(tmp_path, dataset, capsys):
     out_path = tmp_path / "interval.json"
     code = main(

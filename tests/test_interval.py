@@ -17,6 +17,7 @@ from hypothesis import strategies as hs
 
 from bvnprior.errors import BracketError, DomainError
 from bvnprior.interval import (
+    KINDS,
     CredibleInterval,
     equal_tailed,
     hpd_beta,
@@ -135,9 +136,6 @@ def test_hpd_contracts_hold_at_large_n(param, level):
     iv = hpd_unimodal(dist, level)
     assert abs(iv.achieved_mass - level) <= 1e-10
     assert abs(dist.logpdf(iv.lo) - dist.logpdf(iv.hi)) <= 1e-9
-
-
-KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
 
 
 def _solve(dist, level, kind):
@@ -286,3 +284,12 @@ def test_interval_validation_and_serialization():
     assert not box.contains(box.hi + 1e-9)
     d = box.to_dict()
     assert set(d) == {"param", "kind", "level", "lo", "hi", "achieved_mass"}
+
+
+@pytest.mark.parametrize("level", [1e-6, 1e-9])
+def test_beta_hpd_at_a_tiny_level_keeps_its_mass(level):
+    # the t quantile and cdf near the median come from the central mass
+    # I_x(1/2, df/2), so neither end rounds onto the median
+    iv = hpd_beta(REF, level)
+    assert iv.lo < iv.hi
+    assert abs(iv.achieved_mass - level) <= 1e-6 * level

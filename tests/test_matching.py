@@ -392,27 +392,33 @@ def test_moment_claims_follow_from_gaussian_residual_moments():
     log_f = (-sp.log(2 * sp.pi * t) - (x2 - mu2 - b * (x1 - mu1)) ** 2 / (2 * t * e)
              - e * (x1 - mu1) ** 2 / (2 * t))
 
-    def derivative(spec):
-        # "d3l/dbeta2 deta" is d^3 log f / dbeta^2 deta
+    def orders(spec):
+        # "d3l/dbeta2 deta" is d^3 log f / dbeta^2 deta, orders (2, 0, 1)
         order, names = re.fullmatch(r"d(\d?)l/(.+)", spec).groups()
-        expr = log_f
-        total = 0
+        counts = dict.fromkeys(wrt, 0)
         for name, power in re.findall(r"d(beta|theta|eta)(\d?)", names):
-            expr = sp.diff(expr, wrt[name], int(power or 1))
-            total += int(power or 1)
-        assert total == int(order or 1)
+            counts[name] += int(power or 1)
+        assert sum(counts.values()) == int(order or 1)
+        return tuple(counts.values())
+
+    def derivative(factor):
+        expr = log_f
+        for symbol, k in zip(wrt.values(), factor):
+            expr = sp.diff(expr, symbol, k)
         return expr
 
     def gaussian_moment(k, var):
         # E z^k for z ~ N(0, var): (k-1)!! var^(k/2) for even k, else 0
         return 0 if k % 2 else sp.factorial2(k - 1) * var ** (k // 2)
 
-    for label, _, claim in _MOMENTS:
+    for label, factors, claim in _MOMENTS:
         inner = re.fullmatch(r"E\[(.+)\]", label).group(1)
-        factors = re.findall(r"\(([^()]+)\)", inner) or [inner]
-        integrand = sp.Mul(*(derivative(f) for f in factors))
+        parsed = [orders(f) for f in re.findall(r"\(([^()]+)\)", inner) or [inner]]
         if inner.endswith("^3"):
-            integrand = integrand ** 3
+            parsed *= 3
+        # the table's factors are exactly the derivatives its label names
+        assert tuple(parsed) == factors, label
+        integrand = sp.Mul(*(derivative(f) for f in parsed))
         integrand = sp.expand(integrand.subs({x2: mu2 + b * v + u, x1: mu1 + v}))
         moment = sum(
             coeff * gaussian_moment(i, t * e) * gaussian_moment(j, t / e)

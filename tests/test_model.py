@@ -252,6 +252,8 @@ def test_sample_validates_n():
     p = OriginalParams(0.0, 0.0, 1.0, 1.0, 0.0)
     with pytest.raises(DomainError):
         sample(p, 0, seed=1)
+    with pytest.raises(DomainError):
+        sample(p, 5, seed=-1)
 
 
 def test_sufficient_stats_hand_case():

@@ -151,6 +151,33 @@ def test_student_t_cdf_quantile_round_trip():
             )
 
 
+@pytest.mark.parametrize("df", [1, 2, 8])
+def test_student_t_near_the_median_matches_mpmath(df):
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(df)
+
+        def central(x):
+            """P(|T| < |x|) = I_{x^2/(nu + x^2)}(1/2, nu/2)."""
+            return mpmath.betainc(mpmath.mpf(1) / 2, nu / 2, 0, x * x / (nu + x * x),
+                                  regularized=True)
+
+        for d in (1e-2, 1e-6, 1e-8, 1e-10, 1e-14):
+            for p in (0.5 + d, 0.5 - d):
+                t = student_t_quantile(df, p)
+                target = abs(2 * mpmath.mpf(p) - 1)
+                # solved for log|t|, on which log central(t) is close to linear
+                exact = mpmath.exp(mpmath.findroot(
+                    lambda s: mpmath.log(central(mpmath.exp(s))) - mpmath.log(target),
+                    mpmath.log(abs(t)),
+                ))
+                assert math.copysign(1.0, t) == math.copysign(1.0, p - 0.5)
+                assert abs(abs(t) - exact) <= 1e-12 * exact, (p, t)
+                # the cdf keeps every bit that F - 1/2 has near the centre
+                exact_cdf = mpmath.mpf(1) / 2 + mpmath.sign(t) * central(mpmath.mpf(t)) / 2
+                assert abs(student_t_cdf(df, t) - exact_cdf) <= 1.2e-16, (p, t)
+
+
 def test_bracket_validates_ordering():
     with pytest.raises(DomainError):
         Bracket(2.0, 1.0)

@@ -278,6 +278,21 @@ def test_upper_tail_quantile_matches_mpmath(name, n):
 
 
 @pytest.mark.parametrize("n", [3, 4, 10])
+def test_eta_quantile_near_one_matches_mpmath(n):
+    mpmath = pytest.importorskip("mpmath")
+    for p in (0.75, 0.975, 1.0 - 1e-8, 1.0 - 1e-9, 1.0 - 1e-12):
+        z = float(SQRT_BETA_PRIME.quantile(n, p))
+        with mpmath.workdps(50):
+            q = 1 - mpmath.mpf(p)
+            exact = mpmath.findroot(
+                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, n, x))
+                - mpmath.log(q),
+                mpmath.mpf(z),
+            )
+            assert abs(z - exact) <= 1e-12 * exact, (p, z)
+
+
+@pytest.mark.parametrize("n", [3, 4, 10])
 def test_eta_far_upper_tail_matches_mpmath(n):
     mpmath = pytest.importorskip("mpmath")
     for z in (1e3, 1e6, 1e9):
