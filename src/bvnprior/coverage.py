@@ -9,16 +9,18 @@ level for every cell; the simulation estimates it with binomial noise.
 
 Reproducibility: cell k under master seed s draws from one generator,
 default_rng(splitmix64(splitmix64(s) ^ k)) (the standard 64-bit splitmix
-finalizer applied in a fixed chain), and replicate j is slice j of its
-(replicates, n, 2) standard normal stream. Results depend only on the
-seed and the cell index, never on how the work is scheduled or how many
-workers run.
+finalizer applied in a fixed chain). Results depend only on the seed and
+the cell index, never on how the work is scheduled or how many workers
+run.
 
-Replicates are processed in chunks: each chunk draws the next (R, n, 2)
-block of the cell's stream, so the draws do not depend on the chunk
-size, and reduces it to sufficient statistics with array operations.
-Chunks hold about _CHUNK_NORMALS normal draws, which bounds memory at
-large n.
+The intervals depend on a dataset only through (S11, S12, S22.1), so the
+cell draws those directly, by Bartlett's decomposition of the Wishart
+scatter matrix: with a ~ chi2(n-1), Z ~ N(0, 1) and c ~ chi2(n-2)
+independent, S11 = sigma1^2 a, S12 = sigma1 sigma2 sqrt(a) (rho sqrt(a) +
+sqrt(1-rho^2) Z) and S22.1 = sigma2^2 (1-rho^2) c, which is their joint
+law for n pairs from the model. The generator yields all replicates' a,
+then all Z, then all c, and replicate j is element j of each, so cost and
+memory grow with the replicate count and not with n.
 
 Interval construction uses the pivot structure of the posteriors: each
 parameter is location + scale * Z, where pivot() maps every replicate's
@@ -45,14 +47,7 @@ from .interval import KINDS, standard_bounds
 # sample and sufficient_stats are not called here; they stay bound in
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
-from .model import (
-    OriginalParams,
-    _centered_sums,
-    _transform,
-    sample,  # noqa: F401
-    sufficient_stats,  # noqa: F401
-    to_orthogonal,
-)
+from .model import OriginalParams, sample, sufficient_stats, to_orthogonal  # noqa: F401
 from .posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 __all__ = [
@@ -79,9 +74,6 @@ _PARAMS = tuple(_POSTERIORS)
 
 _MASK64 = (1 << 64) - 1
 
-# normal draws per chunk of replicates (2 n per replicate), about 1 MB
-_CHUNK_NORMALS = 1 << 17
-
 
 def _splitmix64(z: int) -> int:
     """One step of the splitmix64 finalizer (64-bit avalanche mix)."""
@@ -101,9 +93,9 @@ def _cell_seed(seed: int, cell_index: int) -> int:
 class CoverageCellSpec:
     """One simulation cell: a (rho, n) pair plus run settings.
 
-    params_base supplies the means and standard deviations of the
-    generating distribution; its correlation field is ignored in favor of
-    rho.
+    Only the standard deviations of params_base matter: the statistics
+    are drawn directly and the means do not enter them. Its correlation
+    field is ignored in favor of rho.
     """
 
     rho: float
@@ -214,6 +206,19 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
+def _draw_stats(base: OriginalParams, n: int, replicates: int, rng):
+    """(s11, s12, s22_1) of `replicates` datasets of n pairs, by Bartlett."""
+    a = rng.chisquare(n - 1, replicates)
+    z = rng.standard_normal(replicates)
+    c = rng.chisquare(n - 2, replicates)
+    root = math.sqrt(1.0 - base.rho * base.rho)
+    s11 = base.sigma1 ** 2 * a
+    root_a = np.sqrt(a)
+    s12 = base.sigma1 * base.sigma2 * root_a * (base.rho * root_a + root * z)
+    s22_1 = (base.sigma2 * root) ** 2 * c
+    return s11, s12, s22_1
+
+
 def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     """Run one coverage cell.
 
@@ -225,14 +230,9 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     truth = to_orthogonal(base)
 
     rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
-    per_chunk = max(1, _CHUNK_NORMALS // (2 * spec.n))
-    kept = []
-    for start in range(0, spec.replicates, per_chunk):
-        z = rng.standard_normal((min(per_chunk, spec.replicates - start), spec.n, 2))
-        _, _, s11, _, s12, s22_1 = _centered_sums(*_transform(base, z))
-        ok = (s11 > 0.0) & (s22_1 > 0.0)
-        kept.append((s11[ok], s12[ok], s22_1[ok]))
-    s11, s12, s22_1 = (np.concatenate(parts) for parts in zip(*kept))
+    s11, s12, s22_1 = _draw_stats(base, spec.n, spec.replicates, rng)
+    ok = (s11 > 0.0) & (s22_1 > 0.0)
+    s11, s12, s22_1 = s11[ok], s12[ok], s22_1[ok]
     used = s11.size
     failures = spec.replicates - used
     if used == 0:

@@ -96,6 +96,8 @@ class CredibleInterval:
 def _check_level(level: float):
     if not 0.0 < level < 1.0:
         raise DomainError("level must lie strictly between 0 and 1")
+    if 1.0 - level == 1.0:
+        raise DomainError(f"level {level!r} is too small: 1 - level rounds to 1")
 
 
 def _solve_hpd(family: StandardFamily, n: int, alpha: float) -> float:

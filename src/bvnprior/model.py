@@ -246,39 +246,10 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
         raise DomainError("sample requires n >= 1")
     if seed < 0:
         raise DomainError("seed must be non-negative")
-    z = np.random.default_rng(seed).standard_normal((n, 2))
-    return np.stack(_transform(p, z), axis=-1)
-
-
-def _transform(p: OriginalParams, z):
-    """(X1, X2) from standard normal draws z[..., 0] = Z1, z[..., 1] = Z2."""
-    x1 = p.mu1 + p.sigma1 * z[..., 0]
-    x2 = p.mu2 + p.sigma2 * (p.rho * z[..., 0] + math.sqrt(1.0 - p.rho * p.rho) * z[..., 1])
-    return x1, x2
-
-
-def _centered_sums(x1, x2):
-    """Means and centered sums over the last (observation) axis.
-
-    Returns (xbar1, xbar2, s11, s22, s12, s22_1) as arrays shaped like the
-    leading axes. s22_1 is summed from the regression residuals
-    d2 - (s12/s11) d1 rather than taken as s22 - s12^2/s11, which cancels
-    catastrophically for nearly collinear data. On exactly collinear data
-    the residuals are rounding noise, so s22_1 is set to 0 where it is at
-    most n * eps * s22; it is nan where s11 = 0.
-    """
-    xbar1 = x1.mean(axis=-1)
-    xbar2 = x2.mean(axis=-1)
-    d1 = x1 - xbar1[..., None]
-    d2 = x2 - xbar2[..., None]
-    s11 = (d1 * d1).sum(axis=-1)
-    s22 = (d2 * d2).sum(axis=-1)
-    s12 = (d1 * d2).sum(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resid = d2 - (s12 / s11)[..., None] * d1
-    s22_1 = (resid * resid).sum(axis=-1)
-    s22_1 = np.where(s22_1 <= x1.shape[-1] * np.finfo(float).eps * s22, 0.0, s22_1)
-    return xbar1, xbar2, s11, s22, s12, s22_1
+    z1, z2 = np.random.default_rng(seed).standard_normal((n, 2)).T
+    x1 = p.mu1 + p.sigma1 * z1
+    x2 = p.mu2 + p.sigma2 * (p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)
+    return np.stack((x1, x2), axis=-1)
 
 
 def sufficient_stats(data) -> SufficientStats:
@@ -286,7 +257,11 @@ def sufficient_stats(data) -> SufficientStats:
 
     Raises DegenerateDataError when all x1 coincide (s11 = 0) or the pairs
     lie exactly on a line (s22_1 = 0); either way some posterior would be
-    improper.
+    improper. s22_1 is summed from the regression residuals
+    d2 - (s12/s11) d1 rather than taken as s22 - s12^2/s11, which cancels
+    catastrophically for nearly collinear data. On exactly collinear data
+    the residuals are rounding noise, so s22_1 counts as 0 where it is at
+    most n * eps * s22.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -296,10 +271,18 @@ def sufficient_stats(data) -> SufficientStats:
     n = arr.shape[0]
     if n < 3:
         raise DegenerateDataError("inference needs n >= 3 observations")
-    xbar1, xbar2, s11, s22, s12, s22_1 = map(float, _centered_sums(arr[:, 0], arr[:, 1]))
+    x1, x2 = arr[:, 0], arr[:, 1]
+    xbar1, xbar2 = float(x1.mean()), float(x2.mean())
+    d1 = x1 - xbar1
+    d2 = x2 - xbar2
+    s11 = float((d1 * d1).sum())
     if s11 <= 0.0:
         raise DegenerateDataError("all x1 values coincide (s11 = 0)")
-    if s22_1 <= 0.0:
+    s22 = float((d2 * d2).sum())
+    s12 = float((d1 * d2).sum())
+    resid = d2 - (s12 / s11) * d1
+    s22_1 = float((resid * resid).sum())
+    if s22_1 <= n * np.finfo(float).eps * s22:
         raise DegenerateDataError("pairs are exactly collinear (s22.1 = 0)")
     return SufficientStats(
         n=n, xbar1=xbar1, xbar2=xbar2, s11=s11, s22=s22, s12=s12, s22_1=s22_1

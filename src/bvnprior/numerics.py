@@ -148,12 +148,21 @@ def reg_inc_beta(a, b, x):
 
 
 def reg_inc_beta_inv(a, b, p):
-    """Inverse of I_.(a, b): returns x with I_x(a, b) = p."""
+    """Inverse of I_.(a, b): returns x with I_x(a, b) = p.
+
+    scipy returns NaN for some tiny p (below about 1e-100 at a few shapes);
+    there x is the leading term (p a B(a, b))^(1/a) of the small-x series
+    I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), which is exact to O(x).
+    """
     if not (np.all(np.asarray(a, dtype=float) > 0.0) and np.all(np.asarray(b, dtype=float) > 0.0)):
         raise DomainError("reg_inc_beta_inv requires a > 0 and b > 0")
     _check_prob(p)
-    out = _sp.betaincinv(a, b, p)
     scalar = np.isscalar(a) and np.isscalar(b) and np.isscalar(p)
+    out = np.asarray(_sp.betaincinv(a, b, p))
+    lost = np.isnan(out)
+    if lost.any():
+        a, b, p = (np.broadcast_to(np.asarray(v, dtype=float), out.shape)[lost] for v in (a, b, p))
+        out[lost] = np.exp((np.log(p) + np.log(a) + _sp.betaln(a, b)) / a)
     return float(out) if scalar else out
 
 
@@ -184,10 +193,11 @@ def student_t_cdf(df, t):
 def student_t_quantile(df, p):
     """Quantile of the standard Student t; exact inverse of student_t_cdf.
 
-    Inverts the incomplete-beta representation directly. With tail
-    2 min(p, 1-p): z = I^{-1}(df/2, 1/2; tail) and t = sqrt(df (1-z)/z).
-    Where tail > 1/2, z rounds towards 1, so the complement
-    x = I^{-1}(1/2, df/2; |1-2p|) = 1 - z gives t = sqrt(df x/(1-x)).
+    Inverts the incomplete-beta representation directly from the tail
+    mass 2 min(p, 1-p), which is exact in floating point. Where t^2 <= df,
+    x = t^2/(df + t^2) = I^{-1}_c(1/2, df/2; tail), the inverse of the
+    complement, and t = sqrt(df x/(1-x)). Where t^2 > df, x rounds towards
+    1, so z = 1 - x = I^{-1}(df/2, 1/2; tail) gives t = sqrt(df (1-z)/z).
     """
     if not np.all(np.asarray(df, dtype=float) > 0.0):
         raise DomainError("student_t_quantile requires df > 0")
@@ -195,13 +205,10 @@ def student_t_quantile(df, p):
     p_arr = np.asarray(p, dtype=float)
     half = np.asarray(df, dtype=float) / 2.0
     tail = 2.0 * np.minimum(p_arr, 1.0 - p_arr)
-    near = tail > 0.5
     with np.errstate(divide="ignore"):
-        x = _sp.betaincinv(
-            np.where(near, 0.5, half), np.where(near, half, 0.5),
-            np.where(near, np.abs(1.0 - 2.0 * p_arr), tail),
-        )
-        mag = np.sqrt(df * np.where(near, x / (1.0 - x), (1.0 - x) / x))
+        x = _sp.betainccinv(0.5, half, tail)
+        z = _sp.betaincinv(half, 0.5, tail)
+        mag = np.sqrt(df * np.where(x <= 0.5, x / (1.0 - x), (1.0 - z) / z))
     out = np.where(p_arr >= 0.5, mag, -mag)
     return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
 

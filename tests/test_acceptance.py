@@ -20,6 +20,7 @@ import pytest
 from scipy import special, stats
 from scipy.integrate import quad
 
+import bvnprior.coverage as coverage
 from bvnprior.cli import main
 from bvnprior.coverage import DEFAULT_SEED, ks_uniformity, run_table
 from bvnprior.interval import equal_tailed, hpd_beta, hpd_unimodal
@@ -190,9 +191,27 @@ def _theta_and_precision_swapped(monkeypatch):
     monkeypatch.setattr(ThetaPosterior, "family", GAMMA)
 
 
+def _residual_chi2_with_n_minus_1_df(monkeypatch):
+    # S22.1 ~ sigma2^2 (1 - rho^2) chi2(n-1), the law without the fitted
+    # slope: the correct chi2(n-2) draw plus an independent chi2(1)
+    draw = coverage._draw_stats
+
+    def mutant(base, n, replicates, rng):
+        s11, s12, s22_1 = draw(base, n, replicates, rng)
+        extra = base.sigma2**2 * (1.0 - base.rho**2) * rng.standard_normal(replicates) ** 2
+        return s11, s12, s22_1 + extra
+
+    monkeypatch.setattr(coverage, "_draw_stats", mutant)
+
+
 @pytest.mark.parametrize(
     "mutate",
-    [_slope_scale_without_1_over_s11, _eta_exponent_off_by_one, _theta_and_precision_swapped],
+    [
+        _slope_scale_without_1_over_s11,
+        _eta_exponent_off_by_one,
+        _theta_and_precision_swapped,
+        _residual_chi2_with_n_minus_1_df,
+    ],
 )
 def test_acceptance_gates_reject_mutants(mutate, monkeypatch):
     """Both coverage gates, as run above, reject each broken posterior."""
@@ -206,6 +225,36 @@ def test_acceptance_gates_reject_mutants(mutate, monkeypatch):
         f"[acceptance] gates reject {mutate.__name__.strip('_')}: PASS "
         f"(min KS p {min(ks.values()):.1e}, {len(rejected)} binomial rejections)"
     )
+
+
+@pytest.mark.slow
+def test_gate_false_alarm_rates_over_many_seeds():
+    """How often a correct engine trips the per-cell KS gate and the 0.025 band.
+
+    The 1000-replicate grid on 200 seeds. Each of the 45 KS tests rejects
+    with probability KS_ALPHA, so if they were independent the grid would
+    fail with probability 1 - 0.99^45; the observed rate must lie within
+    a 4 sigma binomial band of that. The band rate is reported only.
+    """
+    seeds = range(1, 201)
+    ks_trips = band_trips = 0
+    for seed in seeds:
+        table = run_table(replicates=1000, seed=seed)
+        ks_trips += min(_ks_pvalues(table).values()) < KS_ALPHA
+        band_trips += any(
+            abs(cell.coverage[param] - expected) > 0.025
+            for cell in table.cells
+            for param, expected in zip(PARAMS, REFERENCE_COVERAGE[(cell.rho, cell.n)])
+        )
+    runs = len(seeds)
+    expected = 1.0 - (1.0 - KS_ALPHA) ** 45
+    sigma = math.sqrt(expected * (1.0 - expected) / runs)
+    print(
+        f"[acceptance] false alarms over {runs} seeds: KS gate {ks_trips / runs:.3f} "
+        f"(independent tests: {expected:.3f} +- {sigma:.3f}), "
+        f"0.025 band {band_trips / runs:.3f}"
+    )
+    assert abs(ks_trips / runs - expected) <= 4.0 * sigma
 
 
 def test_acceptance_score_moment_suite():

@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,40 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     code, _, err = run_cli(capsys, "stats", "--input", str(inexact))
     assert code == 3
     assert "collinear" in err
+
+
+@pytest.mark.parametrize("param", ["beta", "theta", "w", "eta"])
+@pytest.mark.parametrize("level", ["1e-17", "1e-300"])
+def test_level_below_resolution_exits_3(dataset, capsys, param, level):
+    # 1 - level rounds to 1, so no tail split can resolve the interval
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "interval", "--input", str(dataset), "--param", param, "--level", level
+        )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "level" in err
+    assert caught == []
+
+
+@pytest.mark.parametrize("kind", ["equal_tailed", "hpd"])
+def test_coverage_at_huge_n(capsys, kind):
+    # the statistics are drawn directly, so n = 1e9 costs what n = 4 does
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "coverage", "--rhos", "0.5", "--ns", "1000000000",
+            "--replicates", "200", "--kind", kind,
+        )
+    assert code == 0, err
+    assert caught == []
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        fields = row.split(",")
+        assert fields[1] == "1000000000" and fields[3] == kind
+        assert 0.0 < float(fields[5]) <= 1.0 and fields[8] == "0"
 
 
 @pytest.mark.parametrize(

@@ -24,7 +24,7 @@ from bvnprior.coverage import (
 )
 import bvnprior.coverage as coverage
 import bvnprior.interval as interval
-from bvnprior.errors import DegenerateDataError, DomainError
+from bvnprior.errors import DomainError
 from bvnprior.interval import standard_bounds
 from bvnprior.model import OriginalParams, sample, sufficient_stats, to_orthogonal
 from bvnprior.numerics import reg_inc_beta, reg_inc_gamma_c, student_t_cdf
@@ -51,11 +51,11 @@ def test_cell_seed_avoids_collisions_across_axes():
 
 
 def test_run_table_stream_is_pinned():
-    # any change to the seeding chain, the draw layout or the transform
+    # any change to the seeding chain, the draw order or the Bartlett map
     # changes these bytes; a stream change must update this hash knowingly
     csv_text = run_table(rhos=(0.25, 0.75), ns=(4, 8), replicates=200, seed=77).to_csv()
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
-    assert digest == "78a71b2cdb479787f51f1efd35e5a889438b7e168cb659a44b0fb8a36a54f4f3"
+    assert digest == "cd350f9dcc1d2b4bd139a73fcc96fc9a874b4d9f16a3ade574f421d29be9a7d6"
 
 
 def test_sample_stream_is_pinned():
@@ -227,16 +227,18 @@ def test_run_table_rejects_empty_grid():
 
 
 def _reference_cell(spec, cell_index):
-    """Replicate-by-replicate coverage cell from the public model functions.
+    """Replicate-by-replicate coverage cell in scalar arithmetic.
 
-    Replicate j is slice j of the cell's one (replicates, n, 2) normal
-    stream, mapped to pairs by the construction sample() documents.
+    The cell's generator yields a ~ chi2(n-1), then Z ~ N(0, 1), then
+    c ~ chi2(n-2), one array each; replicate j is element j of the three,
+    mapped to (S11, S12, S22.1) by Bartlett's decomposition.
     """
     base = OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho)
     truth = to_orthogonal(base)
-    normals = np.random.default_rng(_cell_seed(spec.seed, cell_index)).standard_normal(
-        (spec.replicates, spec.n, 2)
-    )
+    rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
+    chi_a = rng.chisquare(spec.n - 1, spec.replicates)
+    normals = rng.standard_normal(spec.replicates)
+    chi_c = rng.chisquare(spec.n - 2, spec.replicates)
     root = math.sqrt(1.0 - spec.rho * spec.rho)
     beta_b, theta_b, eta_b = (
         standard_bounds(cls.family, spec.n, spec.level, spec.kind)
@@ -246,25 +248,24 @@ def _reference_cell(spec, cell_index):
     hits = {"beta": 0, "theta": 0, "eta": 0}
     cdf = {"beta": [], "theta": [], "eta": []}
     failures = 0
-    for j in range(spec.replicates):
-        z1, z2 = normals[j, :, 0], normals[j, :, 1]
-        data = np.column_stack([z1, spec.rho * z1 + root * z2])
-        try:
-            st = sufficient_stats(data)
-        except DegenerateDataError:
+    for a, z, c in zip(chi_a.tolist(), normals.tolist(), chi_c.tolist()):
+        s11 = a
+        s12 = math.sqrt(a) * (spec.rho * math.sqrt(a) + root * z)
+        s22_1 = root * root * c
+        if not (s11 > 0.0 and s22_1 > 0.0):
             failures += 1
             continue
-        m = st.s12 / st.s11
-        s = math.sqrt(st.s22_1 / (nu * st.s11))
-        r = math.sqrt(st.s11 * st.s22_1)
-        c = st.s22_1 / st.s11
+        m = s12 / s11
+        s = math.sqrt(s22_1 / (nu * s11))
+        r = math.sqrt(s11 * s22_1)
+        ratio = s22_1 / s11
         hits["beta"] += m + s * beta_b[0] <= truth.beta <= m + s * beta_b[1]
         hits["theta"] += r * theta_b[0] <= truth.theta <= r * theta_b[1]
-        hits["eta"] += math.sqrt(c) * eta_b[0] <= truth.eta <= math.sqrt(c) * eta_b[1]
+        hits["eta"] += math.sqrt(ratio) * eta_b[0] <= truth.eta <= math.sqrt(ratio) * eta_b[1]
         cdf["beta"].append(student_t_cdf(nu, (truth.beta - m) / s))
         cdf["theta"].append(reg_inc_gamma_c(nu, r / truth.theta))
-        z = truth.eta**2 / (truth.eta**2 + c)
-        cdf["eta"].append(reg_inc_beta((spec.n - 1) / 2.0, nu / 2.0, z))
+        u = truth.eta**2 / (truth.eta**2 + ratio)
+        cdf["eta"].append(reg_inc_beta((spec.n - 1) / 2.0, nu / 2.0, u))
     return hits, cdf, failures
 
 
@@ -281,17 +282,6 @@ def test_run_cell_matches_replicate_by_replicate_reference(rho, n, kind):
     for param in ("beta", "theta", "eta"):
         assert round(cell.coverage[param] * cell.replicates_used) == hits[param]
         np.testing.assert_allclose(cell.cdf_values[param], cdf[param], rtol=0, atol=1e-12)
-
-
-def test_run_cell_chunks_replicates(monkeypatch):
-    # a chunk of 3 replicates at n = 4 must give the single-chunk result
-    spec = CoverageCellSpec(rho=0.5, n=4, replicates=101, seed=8)
-    whole = run_cell(spec, 2)
-    monkeypatch.setattr(coverage, "_CHUNK_NORMALS", 3 * 2 * spec.n)
-    chunked = run_cell(spec, 2)
-    assert chunked.coverage == whole.coverage
-    for param in ("beta", "theta", "eta"):
-        assert np.array_equal(chunked.cdf_values[param], whole.cdf_values[param])
 
 
 def test_repeated_table_reuses_standardized_bounds(monkeypatch):
@@ -311,3 +301,36 @@ def test_repeated_table_reuses_standardized_bounds(monkeypatch):
     second = run_table(**grid)
     assert calls == []
     assert second.to_csv() == first.to_csv()
+
+
+@pytest.mark.parametrize("n", [4, 20])
+def test_draw_stats_follow_the_exact_laws(n):
+    # Bartlett: S11/sigma1^2 ~ chi2(n-1), S22.1/(sigma2^2 (1-rho^2)) ~ chi2(n-2),
+    # and the standardized slope error ~ N(0, 1); each statistic also
+    # matches sufficient_stats of raw sample() datasets (two-sample KS).
+    # Twelve tests over both n, Bonferroni at family alpha 1e-3.
+    replicates, rho, sigma1, sigma2 = 20_000, 0.5, 2.0, 0.5
+    alpha = 1e-3 / 12
+    base = OriginalParams(0.0, 0.0, sigma1, sigma2, rho)
+    beta = rho * sigma2 / sigma1
+    resid_var = sigma2**2 * (1.0 - rho * rho)
+    s11, s12, s22_1 = coverage._draw_stats(
+        base, n, replicates, np.random.default_rng(9000 + n)
+    )
+    exact = {
+        "s11": stats.kstest(s11 / sigma1**2, stats.chi2(n - 1).cdf).pvalue,
+        "s22_1": stats.kstest(s22_1 / resid_var, stats.chi2(n - 2).cdf).pvalue,
+        "slope": stats.kstest(
+            (s12 / s11 - beta) * np.sqrt(s11) / math.sqrt(resid_var), "norm"
+        ).pvalue,
+    }
+    raw = [
+        sufficient_stats(sample(replace(base, mu1=1.0, mu2=-3.0), n, 50_000 + j))
+        for j in range(replicates)
+    ]
+    drawn = {"s11": s11, "s12": s12, "s22_1": s22_1}
+    for name, values in drawn.items():
+        data = np.array([getattr(st, name) for st in raw])
+        exact[f"{name} vs data"] = stats.ks_2samp(values, data).pvalue
+    for name, pvalue in exact.items():
+        assert pvalue >= alpha, (n, name, pvalue)

@@ -178,6 +178,48 @@ def test_student_t_near_the_median_matches_mpmath(df):
                 assert abs(student_t_cdf(df, t) - exact_cdf) <= 1.2e-16, (p, t)
 
 
+@pytest.mark.parametrize("df", [1e5, 1e9, 1e12])
+def test_student_t_quantile_at_large_df_matches_mpmath(df):
+    # the slope bounds of a huge-n coverage cell: t^2 <= df, where
+    # x = t^2/(df + t^2) taken as 1 - z loses up to 6.5e-6 relative at df = 1e12
+    mpmath = pytest.importorskip("mpmath")
+    for p in (1e-6, 0.025, 0.1, 0.4):
+        t = student_t_quantile(df, p)
+        with mpmath.workdps(50):
+            nu, half = mpmath.mpf(df), mpmath.mpf(1) / 2
+
+            def central(x):
+                """I_x(1/2, nu/2) by its hypergeometric series, convergent here."""
+                return (mpmath.sqrt(x) * (1 - x) ** (nu / 2) / (half * mpmath.beta(half, nu / 2))
+                        * mpmath.hyp2f1((nu + 1) / 2, 1, 3 * half, x))
+
+            x0 = mpmath.mpf(t) ** 2 / (nu + mpmath.mpf(t) ** 2)
+            x = mpmath.findroot(
+                lambda x: central(x) - (1 - 2 * mpmath.mpf(p)), (x0 / 2, 2 * x0), solver="illinois"
+            )
+            exact = -mpmath.sqrt(nu * x / (1 - x))
+            assert abs(t - exact) <= 1e-15 * abs(exact), (p, t)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+def test_reg_inc_beta_inv_below_scipy_range_matches_mpmath(n):
+    # scipy's betaincinv returns NaN at these eta shapes for tiny p
+    mpmath = pytest.importorskip("mpmath")
+    for a, b in (((n - 1) / 2, (n - 2) / 2), ((n - 2) / 2, (n - 1) / 2)):
+        for p in (1e-130, 1e-200, 1e-300, 5e-324):
+            x = reg_inc_beta_inv(a, b, p)
+            assert 0.0 < x < 1.0, (a, b, p, x)
+            with mpmath.workdps(50):
+                big_a, big_b = mpmath.mpf(a), mpmath.mpf(b)
+                exact = mpmath.exp(mpmath.findroot(
+                    lambda s: mpmath.log(mpmath.betainc(big_a, big_b, 0, mpmath.exp(s),
+                                                        regularized=True))
+                    - mpmath.log(mpmath.mpf(p)),
+                    math.log(x),
+                ))
+                assert abs(x - exact) <= 1e-13 * exact, (a, b, p, x)
+
+
 def test_bracket_validates_ordering():
     with pytest.raises(DomainError):
         Bracket(2.0, 1.0)

@@ -302,3 +302,15 @@ def test_eta_far_upper_tail_matches_mpmath(n):
         assert SQRT_BETA_PRIME.cdf(n, z) == 1.0 - _eta_upper_tail(n, z)
     # the tail near 1e-9 must survive in the cdf, not round it to 1
     assert SQRT_BETA_PRIME.cdf(3, 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
+def test_eta_quantile_of_tiny_p_round_trips(n):
+    # scipy's incomplete-beta inverse gives NaN here; quantile and isf may not
+    for p in (1e-130, 1e-200, 1e-300):
+        z = float(SQRT_BETA_PRIME.quantile(n, p))
+        assert 0.0 < z < 1.0
+        assert float(SQRT_BETA_PRIME.cdf(n, z)) == pytest.approx(p, rel=1e-12)
+        upper = float(SQRT_BETA_PRIME.isf(n, p))
+        assert math.isfinite(upper) and upper > 1.0
+        assert _eta_upper_tail(n, upper) == pytest.approx(p, rel=1e-12)

@@ -1,5 +1,5 @@
-"""Property-based round trips: cdf(quantile(p)) for every standard family,
-and the original <-> orthogonal parameter maps."""
+"""Property-based round trips: cdf(quantile(p)) for every standard family
+(and for the t at df 1e9), and the original <-> orthogonal parameter maps."""
 
 import math
 import sys
@@ -37,6 +37,14 @@ PROBABILITIES = hs.one_of(
 def test_cdf_inverts_quantile(name, n, p):
     family = FAMILIES[name]
     assert abs(float(family.cdf(n, family.quantile(n, p))) - p) <= 1e-11
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=PROBABILITIES)
+def test_t_cdf_inverts_quantile_at_df_1e9(p):
+    # the slope family of a coverage cell at n = 1e9 + 2
+    n = 1_000_000_002
+    assert abs(float(STUDENT_T.cdf(n, STUDENT_T.quantile(n, p))) - p) <= 1e-11
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
