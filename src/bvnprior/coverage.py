@@ -36,11 +36,9 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as _sp_stats
 
 from .errors import BvnPriorError, DegenerateDataError, DomainError
 from .interval import KINDS, standard_bounds
@@ -322,6 +320,7 @@ def run_table(
         tasks.append((spec, i))
     workers = min(workers, len(tasks))
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             indexed = list(pool.map(_cell_task, tasks))
     else:
@@ -340,7 +339,9 @@ def ks_uniformity(cell: CellResult) -> dict:
     array computation with scipy's two-sided exact method, so each pair
     equals scipy.stats.kstest(values, "uniform"): D is D+ where D+ > D-
     and D- otherwise, and the p-value is kstwo.sf(D, m) clipped to [0, 1].
+    scipy.stats loads at the first call.
     """
+    from scipy.stats import kstwo
     if not cell.ok:
         raise DomainError("cannot test a failed cell")
     x = np.sort([cell.cdf_values[p] for p in _PARAMS], axis=-1)
@@ -348,5 +349,5 @@ def ks_uniformity(cell: CellResult) -> dict:
     d_plus = (np.arange(1.0, m + 1) / m - x).max(axis=-1)
     d_minus = (x - np.arange(0.0, m) / m).max(axis=-1)
     d = np.where(d_plus > d_minus, d_plus, d_minus)
-    p = np.clip(_sp_stats.kstwo.sf(d, m), 0.0, 1.0)
+    p = np.clip(kstwo.sf(d, m), 0.0, 1.0)
     return {param: (float(d[i]), float(p[i])) for i, param in enumerate(_PARAMS)}

@@ -5,7 +5,8 @@ CDF/quantile pair built from the regularized incomplete beta function.
 Keeping them behind one surface pins down domains and error types, and
 gives the rest of the package a single place to swap implementations.
 Every posterior quantity is a closed form in these functions; the
-adaptive quadrature `integrate` is not called by the package.
+adaptive quadrature `integrate` is not called by the package. The scipy
+solvers behind find_root and integrate are imported at their first call.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sp_integrate
-from scipy import optimize as _sp_optimize
 from scipy import special as _sp
 
 from .errors import BracketError, DomainError, NumericalError
@@ -150,8 +149,9 @@ def reg_inc_beta(a, b, x):
 def reg_inc_beta_inv(a, b, p):
     """Inverse of I_.(a, b): returns x with I_x(a, b) = p.
 
-    scipy returns NaN for some tiny p (below about 1e-100 at a few shapes);
-    there x is the leading term (p a B(a, b))^(1/a) of the small-x series
+    scipy returns NaN for some tiny p (below about 1e-100 at a few shapes)
+    and finite but wrong values for subnormal p; there x is the leading
+    term (p a B(a, b))^(1/a) of the small-x series
     I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), which is exact to O(x).
     """
     if not (np.all(np.asarray(a, dtype=float) > 0.0) and np.all(np.asarray(b, dtype=float) > 0.0)):
@@ -159,7 +159,8 @@ def reg_inc_beta_inv(a, b, p):
     _check_prob(p)
     scalar = np.isscalar(a) and np.isscalar(b) and np.isscalar(p)
     out = np.asarray(_sp.betaincinv(a, b, p))
-    lost = np.isnan(out)
+    p_arr = np.asarray(p, dtype=float)
+    lost = np.isnan(out) | ((p_arr > 0.0) & (p_arr < np.finfo(float).tiny))
     if lost.any():
         a, b, p = (np.broadcast_to(np.asarray(v, dtype=float), out.shape)[lost] for v in (a, b, p))
         out[lost] = np.exp((np.log(p) + np.log(a) + _sp.betaln(a, b)) / a)
@@ -235,8 +236,9 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
             f"no sign change on [{bracket.lo}, {bracket.hi}]: "
             f"f(lo)={f_lo:g}, f(hi)={f_hi:g}"
         )
+    from scipy.optimize import brentq
     try:
-        root, result = _sp_optimize.brentq(
+        root, result = brentq(
             f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps,
             maxiter=200, full_output=True,
         )
@@ -248,7 +250,8 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
 
 
 # kept although nothing in the package calls it: bench/spans.py wraps
-# numerics.integrate (and reads QuadratureResult.evaluations) by name
+# numerics.integrate (and reads QuadratureResult.evaluations) by name;
+# scipy.integrate loads only if it is called
 def integrate(
     f: Callable[[float], float],
     lo: float,
@@ -282,9 +285,10 @@ def integrate(
     else:
         integrand, a, b = f, lo, hi
 
+    from scipy.integrate import quad
     # full_output=1 turns accuracy warnings into a message element instead
     # of an IntegrationWarning, so failure is detected from the tuple shape
-    result = _sp_integrate.quad(
+    result = quad(
         integrand, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1
     )
     value, abserr, info = result[0], result[1], result[2]

@@ -1,16 +1,22 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import json
+import os
 import shutil
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bvnprior.cli import main
 from bvnprior.coverage import DEFAULT_SEED
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+# modules that only some calls need; importing the package must not load them
+LAZY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.integrate", "concurrent.futures.process")
 
 
 def run_cli(capsys, *argv):
@@ -285,19 +291,71 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "coverage", "--help")[0] == 0
 
 
+def run_fresh(*args):
+    """A fresh interpreter, importing bvnprior from the source tree, run on args."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def lazy_modules_loaded(statement, *argv):
+    """Exit status and the LAZY_MODULES loaded by a fresh interpreter running statement."""
+    probe = (
+        "import atexit, sys\n"
+        f"atexit.register(lambda: print('lazy:', *(m for m in {LAZY_MODULES!r} "
+        "if m in sys.modules), file=sys.stderr))\n"
+        + statement
+    )
+    proc = run_fresh("-c", probe, *argv)
+    return proc.returncode, set(proc.stderr.splitlines()[-1].split()[1:])
+
+
 def test_console_script_runs_in_subprocess(tmp_path):
     exe = shutil.which("bvnprior")
-    if exe is None:
-        pytest.skip("console script not on PATH")
-    out1 = subprocess.run(
-        [exe, "sample", "--n", "6", "--seed", "4"], capture_output=True, text=True
-    )
-    out2 = subprocess.run(
-        [exe, "sample", "--n", "6", "--seed", "4"], capture_output=True, text=True
-    )
+
+    def cli(*argv):
+        if exe is None:
+            return run_fresh("-m", "bvnprior.cli", *argv)
+        return subprocess.run([exe, *argv], capture_output=True, text=True, timeout=120)
+
+    out1 = cli("sample", "--n", "6", "--seed", "4")
+    out2 = cli("sample", "--n", "6", "--seed", "4")
     assert out1.returncode == 0
     assert out1.stdout == out2.stdout
-    bad = subprocess.run(
-        [exe, "sample", "--n", "6", "--rho", "2.0"], capture_output=True, text=True
-    )
+    bad = cli("sample", "--n", "6", "--rho", "2.0")
     assert bad.returncode == 3
+
+
+@pytest.mark.parametrize("module", ["bvnprior", "bvnprior.cli"])
+def test_import_loads_no_lazy_module(module):
+    assert lazy_modules_loaded(f"import {module}") == (0, set())
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (("interval", "--param", "eta", "--kind", "equal_tailed"), set()),
+        (("interval", "--param", "theta", "--kind", "lower_one_sided"), set()),
+        (("posterior", "--param", "eta"), set()),
+        (("interval", "--param", "eta", "--kind", "hpd"), {"scipy.optimize"}),
+    ],
+    ids=["equal_tailed", "one_sided", "posterior", "hpd"],
+)
+def test_only_hpd_root_finding_loads_scipy_optimize(dataset, argv, loaded):
+    # what `python -m bvnprior.cli ARGV` runs
+    statement = (
+        "import runpy; runpy.run_module('bvnprior.cli', run_name='__main__', alter_sys=True)"
+    )
+    assert lazy_modules_loaded(statement, *argv, "--input", str(dataset)) == (0, loaded)
+
+
+def test_serial_run_table_loads_no_process_pool():
+    statement = (
+        "from bvnprior.coverage import run_table\n"
+        "run_table(rhos=(0.25, 0.5), ns=(4, 8), replicates=300, seed=31, workers=1)"
+    )
+    code, loaded = lazy_modules_loaded(statement)
+    assert code == 0
+    assert "concurrent.futures.process" not in loaded

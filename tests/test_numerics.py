@@ -201,6 +201,18 @@ def test_student_t_quantile_at_large_df_matches_mpmath(df):
             assert abs(t - exact) <= 1e-15 * abs(exact), (p, t)
 
 
+def _mp_beta_inv(mpmath, a, b, p, guess):
+    """x with I_x(a, b) = p, solved in log x at 50 digits from a guess."""
+    with mpmath.workdps(50):
+        big_a, big_b = mpmath.mpf(a), mpmath.mpf(b)
+        return mpmath.exp(mpmath.findroot(
+            lambda s: mpmath.log(mpmath.betainc(big_a, big_b, 0, mpmath.exp(s),
+                                                regularized=True))
+            - mpmath.log(mpmath.mpf(p)),
+            math.log(guess),
+        ))
+
+
 @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
 def test_reg_inc_beta_inv_below_scipy_range_matches_mpmath(n):
     # scipy's betaincinv returns NaN at these eta shapes for tiny p
@@ -209,15 +221,21 @@ def test_reg_inc_beta_inv_below_scipy_range_matches_mpmath(n):
         for p in (1e-130, 1e-200, 1e-300, 5e-324):
             x = reg_inc_beta_inv(a, b, p)
             assert 0.0 < x < 1.0, (a, b, p, x)
-            with mpmath.workdps(50):
-                big_a, big_b = mpmath.mpf(a), mpmath.mpf(b)
-                exact = mpmath.exp(mpmath.findroot(
-                    lambda s: mpmath.log(mpmath.betainc(big_a, big_b, 0, mpmath.exp(s),
-                                                        regularized=True))
-                    - mpmath.log(mpmath.mpf(p)),
-                    math.log(x),
-                ))
-                assert abs(x - exact) <= 1e-13 * exact, (a, b, p, x)
+            exact = _mp_beta_inv(mpmath, a, b, p, x)
+            assert abs(x - exact) <= 1e-13 * exact, (a, b, p, x)
+
+
+@pytest.mark.parametrize("n", [7, 12, 16, 20, 30, 50])
+def test_reg_inc_beta_inv_at_subnormal_p_matches_mpmath(n):
+    # below the smallest normal float scipy's betaincinv can return finite
+    # but wrong values: 1.07e-33 for 3.11e-35 at (9.5, 9), p = 5e-324
+    mpmath = pytest.importorskip("mpmath")
+    for a, b in (((n - 1) / 2, (n - 2) / 2), ((n - 2) / 2, (n - 1) / 2)):
+        for p in (1e-310, 1e-320, 5e-324):
+            x = reg_inc_beta_inv(a, b, p)
+            assert 0.0 < x < 1.0, (a, b, p, x)
+            exact = _mp_beta_inv(mpmath, a, b, p, x)
+            assert abs(x - exact) <= 1e-9 * exact, (a, b, p, x)
 
 
 def test_bracket_validates_ordering():
