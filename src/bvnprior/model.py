@@ -25,8 +25,8 @@ which is the form every derivative in this module is taken from.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -307,25 +307,35 @@ def write_dataset(file, data) -> None:
 
 
 def read_dataset(file) -> np.ndarray:
-    """Read a CSV of pairs with header x1,x2 into an (n, 2) array."""
+    """Read a CSV of pairs into an (n, 2) float array; file is a path or text handle.
+
+    The first line is the header x1,x2 (case and surrounding spaces aside);
+    columns after the second are ignored and blank lines are skipped. Each
+    field is an ASCII decimal float, optionally quoted, parsed by numpy's
+    C reader into the float that float() gives for it. A path is read as
+    UTF-8 in universal-newline mode, so LF, CRLF and lone-CR line ends all
+    work; a text handle is read as it is, so its lines must end in LF or
+    CRLF. A wrong header, a missing or non-numeric field, text that is not
+    UTF-8 or a file without rows raises DomainError.
+    """
     own = isinstance(file, (str, bytes)) or hasattr(file, "__fspath__")
-    handle = open(file, "r", encoding="utf-8", newline="") if own else file
+    handle = open(file, "r", encoding="utf-8") if own else file
     try:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:2]] != ["x1", "x2"]:
+        header = next(csv.reader([handle.readline()]), [])
+        if [h.strip().lower() for h in header[:2]] != ["x1", "x2"]:
             raise DomainError("dataset CSV must start with header x1,x2")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except (ValueError, IndexError) as exc:
-                raise DomainError(f"bad dataset row at line {lineno}: {row}") from exc
+        with warnings.catch_warnings():
+            # a body without rows is reported below, not warned about
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            data = np.loadtxt(handle, delimiter=",", usecols=(0, 1), ndmin=2,
+                              comments=None, quotechar='"')
+    except DomainError:
+        raise
+    except (ValueError, csv.Error) as exc:  # includes UnicodeDecodeError
+        raise DomainError(f"bad dataset CSV (data rows numbered from 0): {exc}") from exc
     finally:
         if own:
             handle.close()
-    if not rows:
+    if data.shape[0] == 0:
         raise DomainError("dataset CSV holds no rows")
-    return np.array(rows, dtype=float)
+    return data

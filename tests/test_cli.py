@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import argparse
+import functools
 import json
 import os
 import shutil
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bvnprior import cli
 from bvnprior.cli import main
 from bvnprior.coverage import DEFAULT_SEED
 
@@ -196,6 +199,48 @@ def test_domain_errors_exit_3(tmp_path, capsys):
     assert code == 3
     assert "collinear" in err
 
+    undecodable = tmp_path / "latin1.csv"
+    undecodable.write_bytes(b"x1,x2\n1,2\n\xff\xfe,3\n")
+    code, _, err = run_cli(capsys, "stats", "--input", str(undecodable))
+    assert code == 3
+    assert err.startswith("error:")
+
+
+# a file with rows holds three good ones besides its defect, so that only
+# the defect can fail the read
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"x1,x2\n1,2\n3\n2,5\n4,1\n",
+        b"x1,x2\n1,2\nabc,3\n2,5\n4,1\n",
+        b"x1,x2\n1,2\n   \n2,5\n4,1\n",
+        b"x1,x2\n1,2\n# a comment\n2,5\n4,1\n",
+        b"x1,x2\n",
+        b"x1,x2\n\n\n",
+        b"",
+        b"x1,x2\n1,2\n\xff\xfe,3\n2,5\n4,1\n",
+        # float() took these; the CSV format is ASCII decimal floats only
+        b"x1,x2\n1_0,2\n2,5\n4,1\n",
+        "x1,x2\n\u0661,2\n2,5\n4,1\n".encode(),
+        "x1,x2\n\uff11,2\n2,5\n4,1\n".encode(),
+    ],
+    ids=[
+        "missing_column", "non_numeric", "whitespace_line", "comment_line", "header_only",
+        "blank_lines_only", "empty_file", "undecodable", "underscore_digits",
+        "arabic_indic_digit", "fullwidth_digit",
+    ],
+)
+def test_malformed_dataset_exits_3(tmp_path, capsys, content):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(content)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "stats", "--input", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:")
+    assert caught == []
+
 
 @pytest.mark.parametrize("param", ["beta", "theta", "w", "eta"])
 @pytest.mark.parametrize("level", ["1e-17", "1e-300"])
@@ -289,6 +334,30 @@ def test_output_flag_writes_files(tmp_path, dataset, capsys):
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "coverage", "--help")[0] == 0
+
+
+def test_one_parser_serves_every_main_call(dataset, capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a fresh cache, so that this test sees the first build
+    monkeypatch.setattr(cli, "_parser", functools.cache(cli.build_parser), raising=False)
+    argv = ("interval", "--input", str(dataset), "--param", "eta", "--kind", "hpd")
+    assert run_cli(capsys, *argv)[0] == 0
+    first = len(built)
+    assert first > 0
+    assert run_cli(capsys, "nonsense")[0] == 2
+    assert run_cli(capsys, "coverage", "--help")[0] == 0
+    code, out, _ = run_cli(capsys, *argv)
+    assert len(built) == first
+    # a usage error leaves the shared parser as a fresh process has it
+    fresh = run_fresh("-m", "bvnprior.cli", *argv)
+    assert (code, out) == (0, fresh.stdout) and fresh.returncode == 0
 
 
 def run_fresh(*args):

@@ -1,10 +1,13 @@
 """Parameterizations, density, derivatives, sampling, and dataset IO."""
 
+import csv
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 from scipy.stats import multivariate_normal
 
 from bvnprior.errors import DegenerateDataError, DomainError
@@ -326,3 +329,65 @@ def test_dataset_round_trip_through_handles():
 def test_read_dataset_rejects_bad_header():
     with pytest.raises(DomainError):
         read_dataset(io.StringIO("a,b\n1,2\n"))
+
+
+def _reference_read(path):
+    """The csv.reader + float() row loop read_dataset once ran, kept as the oracle."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))
+    assert [h.strip().lower() for h in rows[0][:2]] == ["x1", "x2"]
+    pairs = [(float(row[0]), float(row[1])) for row in rows[1:] if row]
+    return np.array(pairs, dtype=float).reshape(-1, 2)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# every finite float, with the signed zeros, the smallest subnormal, the
+# smallest normal and the largest finite floats drawn often
+FINITE = hs.one_of(
+    hs.floats(allow_nan=False, allow_infinity=False),
+    hs.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308)),
+)
+PAIRS = hs.lists(hs.tuples(FINITE, FINITE), min_size=1, max_size=12)
+
+
+@hs.composite
+def hand_written_csv(draw):
+    """Pairs and CSV text for them with mixed line ends, blank lines,
+    extra columns, quoted fields and several float spellings."""
+    pairs = draw(PAIRS)
+    ends = hs.sampled_from(("\n", "\r\n", "\r"))
+    spellings = hs.sampled_from(("{!r}", "{:.17g}", "{:.17e}", "{:.40e}", " {!r} "))
+    lines = [draw(hs.sampled_from(("x1,x2", "X1, x2", '"x1","x2",note'))) + draw(ends)]
+    for pair in pairs:
+        lines.append(draw(ends) * draw(hs.integers(0, 2)))
+        fields = []
+        for x in pair:
+            text = draw(spellings).format(x)
+            fields.append(f'"{text}"' if draw(hs.booleans()) else text)
+        fields += draw(hs.lists(hs.sampled_from(("", "note", "7", '"a,b"')), max_size=2))
+        lines.append(",".join(fields) + draw(ends))
+    if draw(hs.booleans()):
+        lines[-1] = lines[-1].rstrip("\r\n")  # no line end after the last row
+    return np.array(pairs, dtype=float), "".join(lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pairs=PAIRS, written=hand_written_csv())
+def test_read_dataset_matches_the_csv_float_loop_bit_for_bit(tmp_path_factory, pairs, written):
+    path = tmp_path_factory.getbasetemp() / "read_dataset_oracle.csv"
+    data = np.array(pairs, dtype=float)
+    write_dataset(path, data)
+    assert _same_bits(read_dataset(path), data)
+    assert _same_bits(read_dataset(path), _reference_read(path))
+    buf = io.StringIO()
+    write_dataset(buf, data)
+    assert _same_bits(read_dataset(io.StringIO(buf.getvalue())), data)
+
+    expected, text = written
+    path.write_bytes(text.encode("utf-8"))
+    assert _same_bits(_reference_read(path), expected)
+    assert _same_bits(read_dataset(path), expected)

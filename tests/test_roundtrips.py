@@ -1,5 +1,6 @@
-"""Property-based round trips: cdf(quantile(p)) for every standard family
-(and for the t at df 1e9), and the original <-> orthogonal parameter maps."""
+"""Property-based round trips: cdf(quantile(p)) and 1 - cdf(isf(q)) for every
+standard family (and for the t at df 1e9), and the original <-> orthogonal
+parameter maps."""
 
 import math
 import sys
@@ -31,12 +32,24 @@ PROBABILITIES = hs.one_of(
 )
 
 
+SIZES = hs.sampled_from((3, 4, 5, 10, 50, 1000, 100_000))
+
+
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n=hs.sampled_from((3, 4, 5, 10, 50, 1000, 100_000)), p=PROBABILITIES)
+@given(n=SIZES, p=PROBABILITIES)
 def test_cdf_inverts_quantile(name, n, p):
     family = FAMILIES[name]
     assert abs(float(family.cdf(n, family.quantile(n, p))) - p) <= 1e-11
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(n=SIZES, q=PROBABILITIES)
+def test_cdf_inverts_isf(name, n, q):
+    # isf(n, q) is the upper-tail quantile, the hi end of every tail split
+    family = FAMILIES[name]
+    assert abs(1.0 - float(family.cdf(n, family.isf(n, q))) - q) <= 1e-11
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
