@@ -5,7 +5,7 @@ Why 1/(theta eta): the matching conditions as executable checks
 A probability-matching prior makes credible intervals double as honest
 confidence intervals. For this model the matching requirements reduce to
 eleven differential identities in the prior over (beta, theta, eta):
-five from one-sided quantile matching, three from HPD-region matching,
+five from distribution-function matching, three from HPD-region matching,
 and three from likelihood-ratio-region matching. This demo evaluates all
 of them on a grid, twice: from hand-coded derivatives of the prior, and
 from finite differences of its density alone.

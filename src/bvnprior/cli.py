@@ -306,9 +306,17 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("matching", "flat"),
         help="which built-in prior to check",
     )
-    p.add_argument("--grid-beta", type=_grid_axis, default=(-2.0, 2.0, 9))
-    p.add_argument("--grid-theta", type=_grid_axis, default=(0.5, 3.0, 9))
-    p.add_argument("--grid-eta", type=_grid_axis, default=(0.5, 3.0, 9))
+    # argparse reads the -2:2:9 of "--grid-beta -2:2:9" as an option, so a
+    # negative bound needs the = form
+    for axis, default, note in (
+        ("beta", (-2.0, 2.0, 9), "-2:2:9 (a negative LO needs this = form)"),
+        ("theta", (0.5, 3.0, 9), "0.5:3:9, LO > 0"),
+        ("eta", (0.5, 3.0, 9), "0.5:3:9, LO > 0"),
+    ):
+        p.add_argument(
+            f"--grid-{axis}", type=_grid_axis, default=default, metavar="LO:HI:COUNT",
+            help=f"{axis} axis of the grid, default --grid-{axis}={note}",
+        )
     p.add_argument("--format", default="table", choices=("table", "csv", "json"))
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify_prior)

@@ -9,11 +9,12 @@ Two independent kinds of evidence are produced:
   product of the exact log-density partials of model._partial.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
-  identities that characterize matching priors - for posterior quantiles,
-  HPD regions, and likelihood-ratio regions of each of beta, theta, eta -
-  on a grid, either from hand-coded prior partials or from finite
-  differences of the prior density. A matching prior drives every residual
-  to zero; the flat prior is kept as a built-in counterexample.
+  identities that characterize matching priors - for the posterior
+  distribution function, HPD regions, and likelihood-ratio regions of each
+  of beta, theta, eta - on a grid, either from hand-coded prior partials or
+  from finite differences of the prior density. A matching prior drives
+  every residual to zero; the flat prior is kept as a built-in
+  counterexample.
 
 Each residual is the left side of the corresponding reduced identity,
 expanded by the product rule into the prior value and its first/second
@@ -21,7 +22,9 @@ partials, so both the analytic and the finite-difference route evaluate
 the same linear functional of the prior. The partials are taken once per
 grid point and shared by every identity; each beta plane of them is one
 PriorPartials of arrays, on which the residuals are plain array
-arithmetic. A NaN residual anywhere fails its identity.
+arithmetic. The finite-difference route takes its stencil a plane at a
+time too: 13 log_prior calls per point, differenced as arrays. A NaN
+residual anywhere fails its identity.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from functools import partial, reduce
+from functools import reduce
 from operator import attrgetter, mul
 from typing import Callable
 
@@ -166,7 +169,7 @@ class MatchingCondition:
 
     id: str
     target: str  # parameter whose region the identity belongs to
-    region: str  # "quantile", "hpd", or "likelihood_ratio"
+    region: str  # "distribution_function", "hpd", or "likelihood_ratio"
     description: str
     residual: Callable[[PriorPartials, float, float, float], float]
 
@@ -223,21 +226,21 @@ CONDITIONS = {
         MatchingCondition(
             "dist_fn_A1_beta",
             "beta",
-            "quantile",
+            "distribution_function",
             "d/dtheta(theta pi) + d/deta(eta pi) = 0",
             _r_dist_a1_beta,
         ),
         MatchingCondition(
             "dist_fn_A2_beta",
             "beta",
-            "quantile",
+            "distribution_function",
             "d/dbeta((theta + eta) pi) = 0",
             _r_dist_a2_beta,
         ),
         MatchingCondition(
             "dist_fn_theta",
             "theta",
-            "quantile",
+            "distribution_function",
             "d2/dtheta2(theta^2 pi) - 2 d/dtheta(theta^2 dpi/dtheta)"
             " - 12 d/dtheta(theta pi) = 0"
             " [the trailing coefficient is kept at 12 as derived upstream;"
@@ -249,7 +252,7 @@ CONDITIONS = {
         MatchingCondition(
             "dist_fn_eta_main",
             "eta",
-            "quantile",
+            "distribution_function",
             "d2/deta2(eta^2 pi) - 2 d/deta(eta^2 dpi/deta)"
             " - d/dtheta(theta pi) - d/deta(eta pi) = 0",
             _r_dist_eta_main,
@@ -257,7 +260,7 @@ CONDITIONS = {
         MatchingCondition(
             "dist_fn_eta_aux",
             "eta",
-            "quantile",
+            "distribution_function",
             "d/deta(3 eta pi) = 0",
             _r_dist_eta_aux,
         ),
@@ -309,34 +312,43 @@ CONDITIONS = {
 CONDITION_IDS = tuple(CONDITIONS)
 
 
-def _fd_partials(log_prior, b, t, e) -> PriorPartials:
-    """Prior partials by 4th-order central differences of exp(log_prior).
+def _fd_plane(log_prior, b, theta_ax, eta_ax) -> PriorPartials:
+    """Prior partials on the plane beta = b by 4th-order central differences.
 
     Step 1e-4 * max(1, |coordinate|), clamped so theta and eta stay
     positive across the 5-point stencil. 4th-order stencils keep the
     truncation error of the stiffest identity below 1e-7 on the default
     grid, which 3-point stencils at the same step do not. The centre and
     the +-h, +-2h points of each axis are evaluated once and shared by
-    the first and second differences: 13 log_prior calls per point.
+    the first and second differences: 13 log_prior calls per point, on
+    numpy float64 coordinates. The differences are array arithmetic in
+    the order of the scalar formulas, so each value rounds as a pointwise
+    stencil's does.
     """
 
     def steps(x, positive):
-        h = 1e-4 * max(1.0, abs(x))
-        if positive:
-            h = min(h, x / 4.0)
-        return h
+        h = 1e-4 * np.maximum(1.0, np.abs(x))
+        return np.minimum(h, x / 4.0) if positive else h
 
-    def pi_at(axis, shift):
-        point = [b, t, e]
-        point[axis] += shift
-        return math.exp(log_prior(*point))
+    def pi(b, thetas, etas):
+        values = [math.exp(log_prior(b, t, e)) for t in thetas for e in etas]
+        return np.array(values).reshape(len(thetas), len(etas))
 
-    centre = math.exp(log_prior(b, t, e))
+    hb, ht, he = steps(b, False), steps(theta_ax, True), steps(eta_ax, True)
+    centre = pi(b, theta_ax, eta_ax)
+    shifts = (2, 1, -1, -2)
+    stencils = (
+        ([pi(b + k * hb, theta_ax, eta_ax) for k in shifts], hb),
+        ([pi(b, theta_ax + k * ht, eta_ax) for k in shifts], ht[:, None]),
+        ([pi(b, theta_ax, eta_ax + k * he) for k in shifts], he),
+    )
     d1, d2 = [], []
-    for axis, h in enumerate((steps(b, False), steps(t, True), steps(e, True))):
-        p2, p1, m1, m2 = (pi_at(axis, k * h) for k in (2, 1, -1, -2))
-        d1.append((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h))
-        d2.append((-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h))
+    # as in Python float arithmetic, an overflow or an invalid operation
+    # gives inf or NaN without a warning
+    with np.errstate(all="ignore"):
+        for (p2, p1, m1, m2), h in stencils:
+            d1.append((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h))
+            d2.append((-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h))
     return PriorPartials(centre, *d1, *d2)
 
 
@@ -367,15 +379,17 @@ _PARTIAL_VALUES = attrgetter(*_PARTIAL_FIELDS)
 
 
 def _plane_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
-    """The prior's partials on the plane beta = b, one evaluation per point.
+    """The prior's partials on the plane beta = b.
 
     Each field is a (len(theta_ax), len(eta_ax)) array; only one plane of
-    the grid is held at a time.
+    the grid is held at a time. Analytic partials are called once per
+    point.
     """
-    at = prior.analytic_partials or partial(_fd_partials, prior.log_prior)
-    plane = np.empty((len(theta_ax), len(eta_ax), len(_PARTIAL_FIELDS)))
-    for i, t in enumerate(theta_ax):
-        plane[i] = [_PARTIAL_VALUES(at(b, t, e)) for e in eta_ax]
+    if prior.analytic_partials is None:
+        return _fd_plane(prior.log_prior, b, theta_ax, eta_ax)
+    at = prior.analytic_partials
+    plane = np.array([_PARTIAL_VALUES(at(b, t, e)) for t in theta_ax for e in eta_ax], dtype=float)
+    plane = plane.reshape(len(theta_ax), len(eta_ax), len(_PARTIAL_FIELDS))
     return PriorPartials(*np.moveaxis(plane, -1, 0))
 
 
@@ -494,34 +508,38 @@ def verify_score_moments(
     The partials are exact (model._partial) and built from residual powers
     shared by all identities, so a check passes when
     |estimate - claim| <= 4 * stderr; an identically zero integrand gives
-    estimate 0 with stderr 0.
+    estimate 0 with stderr 0. A floating-point overflow, division by zero
+    or invalid operation in the integrands raises FloatingPointError.
     """
     if n_samples < 100_000:
         raise DomainError("verify_score_moments needs n_samples >= 100000")
-    # the (n_samples, 2) draws are freed once the residual powers exist
-    powers = _residual_powers(params, *sample(to_original(params), n_samples, seed).T)
-    t, e = params.theta, params.eta
-    checks = []
-    # one integrand at a time keeps as few n_samples-long arrays alive as possible
-    for label, factors, claim in _MOMENTS:
-        partials = {f: _partial(powers, t, e, f) for f in factors}
-        vals = reduce(mul, (partials[f] for f in factors))
-        estimate = float(np.mean(vals))
-        # np.std's sum of squares without its copy: vals is not used again
-        vals -= estimate
-        stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
-        claimed = claim(t, e)
-        passed = abs(estimate - claimed) <= 4.0 * stderr
-        checks.append(
-            ExpectationCheck(
-                label=label,
-                claimed=claimed,
-                estimate=estimate,
-                stderr=stderr,
-                n_samples=n_samples,
-                passed=passed,
+    # a floating-point error fails the check instead of warning its way to
+    # a meaningless estimate
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        # the (n_samples, 2) draws are freed once the residual powers exist
+        powers = _residual_powers(params, *sample(to_original(params), n_samples, seed).T)
+        t, e = params.theta, params.eta
+        checks = []
+        # one integrand at a time keeps as few n_samples-long arrays alive as possible
+        for label, factors, claim in _MOMENTS:
+            partials = {f: _partial(powers, t, e, f) for f in factors}
+            vals = reduce(mul, (partials[f] for f in factors))
+            estimate = float(np.mean(vals))
+            # np.std's sum of squares without its copy: vals is not used again
+            vals -= estimate
+            stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
+            claimed = claim(t, e)
+            passed = abs(estimate - claimed) <= 4.0 * stderr
+            checks.append(
+                ExpectationCheck(
+                    label=label,
+                    claimed=claimed,
+                    estimate=estimate,
+                    stderr=stderr,
+                    n_samples=n_samples,
+                    passed=passed,
+                )
             )
-        )
     return checks
 
 
@@ -552,12 +570,12 @@ def residual_report_csv(reports: list[ResidualReport]) -> str:
 def residual_report_table(reports: list[ResidualReport]) -> str:
     """Human-readable aligned table of residual reports."""
     lines = [
-        f"{'condition':18s} {'target':6s} {'region':16s} {'max |residual|':>15s} {'pass':>5s}"
+        f"{'condition':18s} {'target':6s} {'region':21s} {'max |residual|':>15s} {'pass':>5s}"
     ]
     for r in reports:
         cond = CONDITIONS[r.condition_id]
         lines.append(
-            f"{r.condition_id:18s} {cond.target:6s} {cond.region:16s}"
+            f"{r.condition_id:18s} {cond.target:6s} {cond.region:21s}"
             f" {r.max_abs_residual:15.3e} {'yes' if r.passed else 'NO':>5s}"
         )
     return "\n".join(lines) + "\n"

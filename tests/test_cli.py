@@ -10,14 +10,15 @@ import sys
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from bvnprior import cli
 from bvnprior.cli import main
 from bvnprior.coverage import DEFAULT_SEED
+from bvnprior.matching import MATCHING_PRIOR, GridSpec, residual_report_csv, verify_prior
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
 # modules that only some calls need; importing the package must not load them
 LAZY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.integrate", "concurrent.futures.process")
 
@@ -152,6 +153,21 @@ def test_verify_prior_custom_grid_and_json(capsys):
     assert len(payload) == 11
     assert all(entry["pass"] for entry in payload)
     assert payload[0]["n_points"] == 27
+
+
+def test_verify_prior_negative_bound_needs_the_equals_form(capsys):
+    code, out, err = run_cli(
+        capsys, "verify-prior", "--grid-beta=-2:2:5", "--grid-theta=0.6:2.5:4",
+        "--grid-eta=0.7:3:3", "--format", "csv",
+    )
+    grid = GridSpec(beta=(-2.0, 2.0, 5), theta=(0.6, 2.5, 4), eta=(0.7, 3.0, 3))
+    assert (code, err) == (0, "")
+    assert out == residual_report_csv(verify_prior(MATCHING_PRIOR, grid))
+    # the space form reads -2:2:5 as an option: a usage error, not a traceback
+    code, out, err = run_cli(capsys, "verify-prior", "--grid-beta", "-2:2:5")
+    assert code == 2
+    assert out == ""
+    assert "expected one argument" in err and "Traceback" not in err
 
 
 def test_verify_lemma_quick(capsys):
@@ -311,13 +327,21 @@ def test_unallocatable_sample_count_exits_3(capsys):
     ],
 )
 def test_extreme_inputs_exit_cleanly(capsys, argv):
-    # overflow in the moment checks is allowed to warn; it may not escape
-    with np.errstate(all="ignore"):
-        code, _, err = run_cli(capsys, *argv)
+    code, _, err = run_cli(capsys, *argv)
     assert code in (0, 3, 4)
     assert "Traceback" not in err
     if code:
         assert err.splitlines()[-1].startswith("error:")
+
+
+@pytest.mark.parametrize("sigma1", ["1e100", "1e150", "1e300", "1e-150"])
+def test_verify_lemma_float_failure_prints_one_error_line(capsys, sigma1):
+    # pyproject.toml turns numpy's floating-point warnings into errors, so a
+    # leaked warning fails here
+    code, out, err = run_cli(capsys, "verify-lemma", "--samples", "100000", "--sigma1", sigma1)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_output_flag_writes_files(tmp_path, dataset, capsys):
@@ -379,6 +403,13 @@ def lazy_modules_loaded(statement, *argv):
     )
     proc = run_fresh("-c", probe, *argv)
     return proc.returncode, set(proc.stderr.splitlines()[-1].split()[1:])
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
+def test_demo_runs_with_warnings_as_errors(demo):
+    proc = run_fresh("-W", "error", str(demo))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout
 
 
 def test_console_script_runs_in_subprocess(tmp_path):

@@ -18,9 +18,9 @@ from bvnprior.matching import (
     MATCHING_PRIOR,
     GridSpec,
     PriorPartials,
-    ResidualReport,
-    _fd_partials,
     PriorSpec,
+    ResidualReport,
+    _fd_plane,
     moment_report_csv,
     moment_report_table,
     pde_residual,
@@ -44,7 +44,7 @@ def test_condition_registry_shape():
     targets = {c.target for c in CONDITIONS.values()}
     regions = {c.region for c in CONDITIONS.values()}
     assert targets == {"beta", "theta", "eta"}
-    assert regions == {"quantile", "hpd", "likelihood_ratio"}
+    assert regions == {"distribution_function", "hpd", "likelihood_ratio"}
 
 
 @pytest.mark.parametrize("cid", CONDITION_IDS)
@@ -232,21 +232,6 @@ def _skewed_log_prior(b, t, e):
     return 0.3 * b * b - 0.7 * b - 1.5 * math.log(t) + math.sin(e) - 2.0 * math.log(e)
 
 
-@pytest.mark.parametrize("log_prior", [MATCHING_PRIOR.log_prior, FLAT_PRIOR.log_prior, _skewed_log_prior])
-def test_fd_partials_share_13_evaluations_and_equal_the_28_call_stencil(log_prior):
-    calls = []
-
-    def counted(b, t, e):
-        calls.append((b, t, e))
-        return log_prior(b, t, e)
-
-    for b, t, e in [(-2.0, 0.5, 0.5), (0.3, 1.7, 2.9), (1e-9, 4e-4, 3.0), (15.0, 2.0, 1e-3)]:
-        del calls[:]
-        fast = _fd_partials(counted, b, t, e)
-        assert len(calls) == len(set(calls)) == 13
-        assert fast == reference_fd_partials(log_prior, b, t, e)
-
-
 def reference_pde_residual(condition, prior, grid):
     """Per-condition scalar loop: the prior's partials at every grid point."""
     beta_ax, theta_ax, eta_ax = grid.axes()
@@ -260,7 +245,7 @@ def reference_pde_residual(condition, prior, grid):
                 if use_analytic:
                     partials = prior.analytic_partials(b, t, e)
                 else:
-                    partials = _fd_partials(prior.log_prior, b, t, e)
+                    partials = reference_fd_partials(prior.log_prior, b, t, e)
                 r = float(abs(condition.residual(partials, b, t, e)))
                 count += 1
                 if r > worst:
@@ -284,6 +269,71 @@ EQUALITY_GRIDS = (
     GridSpec(beta=(-1.5, 2.0, 3), theta=(0.7, 2.6, 2), eta=(0.6, 2.9, 4)),
     GridSpec(beta=(-0.5, 1.0, 2), theta=(0.55, 3.2, 5), eta=(0.8, 2.1, 3)),
 )
+
+
+# extreme points as 1x1 planes: a beta step below and above its floor, a
+# theta step clamped to theta / 4, and an eta step clamped to eta / 4
+EXTREME_PLANES = [
+    (b, np.array([t]), np.array([e]))
+    for b, t, e in [(-2.0, 0.5, 0.5), (0.3, 1.7, 2.9), (1e-9, 4e-4, 3.0), (15.0, 2.0, 1e-3)]
+]
+GRID_PLANES = [
+    (b, theta_ax, eta_ax)
+    for beta_ax, theta_ax, eta_ax in (grid.axes() for grid in EQUALITY_GRIDS)
+    for b in beta_ax
+]
+
+
+def _bits(x):
+    return np.float64(x).view(np.uint64)
+
+
+@pytest.mark.parametrize("log_prior", [MATCHING_PRIOR.log_prior, FLAT_PRIOR.log_prior, _skewed_log_prior])
+def test_fd_plane_equals_28_call_stencil_with_13_calls_a_point(log_prior):
+    def recording(calls):
+        def counted(b, t, e):
+            calls.append((b, t, e))
+            assert all(type(x) is np.float64 for x in (b, t, e))
+            return log_prior(b, t, e)
+        return counted
+
+    for b, theta_ax, eta_ax in EXTREME_PLANES + GRID_PLANES:
+        b = np.float64(b)
+        calls = []
+        plane = _fd_plane(recording(calls), b, theta_ax, eta_ax)
+        assert len(calls) == len(set(calls)) == 13 * theta_ax.size * eta_ax.size
+        reference_calls = []
+        for i, t in enumerate(theta_ax):
+            for j, e in enumerate(eta_ax):
+                point_calls = []
+                expected = reference_fd_partials(recording(point_calls), b, t, e)
+                assert len(set(point_calls)) == 13
+                reference_calls += point_calls
+                for name in PriorPartials.__dataclass_fields__:
+                    got = getattr(plane, name)[i, j]
+                    assert _bits(got) == _bits(getattr(expected, name)), (name, b, t, e)
+        # the same 13 coordinate triples per point as the pointwise stencil
+        assert set(calls) == set(reference_calls)
+
+
+@pytest.mark.parametrize("grid", EQUALITY_GRIDS)
+def test_verify_prior_calls_each_route_a_fixed_number_of_times(grid):
+    counts = {"log_prior": 0, "analytic_partials": 0}
+
+    def log_prior(b, t, e):
+        counts["log_prior"] += 1
+        return MATCHING_PRIOR.log_prior(b, t, e)
+
+    def analytic_partials(b, t, e):
+        counts["analytic_partials"] += 1
+        return MATCHING_PRIOR.analytic_partials(b, t, e)
+
+    points = grid.beta[2] * grid.theta[2] * grid.eta[2]
+    verify_prior(PriorSpec("counted-fd", log_prior), grid)
+    assert counts == {"log_prior": 13 * points, "analytic_partials": 0}
+    counts["log_prior"] = 0
+    verify_prior(PriorSpec("counted", log_prior, analytic_partials), grid)
+    assert counts == {"log_prior": 0, "analytic_partials": points}
 
 
 @pytest.mark.parametrize("grid", EQUALITY_GRIDS)
