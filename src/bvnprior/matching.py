@@ -39,7 +39,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 # log_density_partial is not called here; it stays bound in this namespace
 # because the benchmark's span recorder wraps matching.log_density_partial
 from .model import (
@@ -508,27 +508,39 @@ def verify_score_moments(
     The partials are exact (model._partial) and built from residual powers
     shared by all identities, so a check passes when
     |estimate - claim| <= 4 * stderr; an identically zero integrand gives
-    estimate 0 with stderr 0. A floating-point overflow, division by zero
-    or invalid operation in the integrands raises FloatingPointError.
+    estimate 0 with stderr 0. A claimed value that is not a finite float
+    at (theta, eta) raises NumericalError before any sampling; a
+    floating-point overflow, division by zero or invalid operation in the
+    integrands raises FloatingPointError.
     """
     if n_samples < 100_000:
         raise DomainError("verify_score_moments needs n_samples >= 100000")
+    t, e = params.theta, params.eta
+    claims = []
+    for label, _, claim in _MOMENTS:
+        try:
+            claimed = claim(t, e)
+        except ArithmeticError:  # Python floats raise on some overflows
+            claimed = math.inf
+        if not math.isfinite(claimed):
+            raise NumericalError(
+                f"the claimed value of {label} is not a finite float at theta={t!r}, eta={e!r}"
+            )
+        claims.append(claimed)
     # a floating-point error fails the check instead of warning its way to
     # a meaningless estimate
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         # the (n_samples, 2) draws are freed once the residual powers exist
         powers = _residual_powers(params, *sample(to_original(params), n_samples, seed).T)
-        t, e = params.theta, params.eta
         checks = []
         # one integrand at a time keeps as few n_samples-long arrays alive as possible
-        for label, factors, claim in _MOMENTS:
+        for (label, factors, _), claimed in zip(_MOMENTS, claims):
             partials = {f: _partial(powers, t, e, f) for f in factors}
             vals = reduce(mul, (partials[f] for f in factors))
             estimate = float(np.mean(vals))
             # np.std's sum of squares without its copy: vals is not used again
             vals -= estimate
             stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
-            claimed = claim(t, e)
             passed = abs(estimate - claimed) <= 4.0 * stderr
             checks.append(
                 ExpectationCheck(

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
+from .numerics import _result
 
 __all__ = [
     "OriginalParams",
@@ -170,14 +171,14 @@ def _residuals(p: OrthogonalParams, x1, x2):
 
 
 def log_density(p: OrthogonalParams, x1, x2):
-    """Log density of one observation; vectorized over x1, x2."""
+    """Log density of one observation; vectorized over x1, x2 (a float when both are 0-d)."""
     u, v = _residuals(p, x1, x2)
     out = (
         -math.log(2.0 * math.pi * p.theta)
         - u * u / (2.0 * p.theta * p.eta)
         - p.eta * v * v / (2.0 * p.theta)
     )
-    return float(out) if np.isscalar(x1) and np.isscalar(x2) else out
+    return _result(out, x1, x2)
 
 
 def _residual_powers(p: OrthogonalParams, x1, x2):
@@ -224,7 +225,7 @@ def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
 
     multi_index is a triple of non-negative derivative orders, one per
     parameter, with total order between 1 and 3. Every partial is exact
-    (see _partial). Vectorized over x1, x2.
+    (see _partial). Vectorized over x1, x2; a float when both are 0-d.
     """
     orders = tuple(int(k) for k in multi_index)
     if len(orders) != 3 or any(k < 0 for k in orders):
@@ -232,7 +233,7 @@ def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
     if not 1 <= sum(orders) <= 3:
         raise DomainError("total derivative order must be 1, 2, or 3")
     out = _partial(_residual_powers(p, x1, x2), p.theta, p.eta, orders)
-    return float(out) if np.isscalar(x1) and np.isscalar(x2) else out
+    return _result(out, x1, x2)
 
 
 def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:

@@ -7,6 +7,16 @@ gives the rest of the package a single place to swap implementations.
 Every posterior quantity is a closed form in these functions; the
 adaptive quadrature `integrate` is not called by the package. The scipy
 solvers behind find_root and integrate are imported at their first call.
+
+The ten special functions share one argument rule and one return rule.
+Every shape parameter (a, b, df) must be finite and > 0; a probability p,
+and the x of reg_inc_beta, must lie in [0, 1]; the x of the incomplete
+gamma functions must be >= 0 (inf allowed); the t of student_t_cdf may be
++-inf. NaN fails everywhere, and every failure is a DomainError.
+Arguments broadcast as numpy arrays, and the result is a float exactly
+when every argument is 0-d (a Python or numpy scalar, or a 0-d array),
+an array otherwise. The posteriors and model densities follow the same
+return rule.
 """
 
 from __future__ import annotations
@@ -61,89 +71,77 @@ class QuadratureResult:
     evaluations: int
 
 
-def _check_prob(p, name="p"):
-    p_arr = np.asarray(p, dtype=float)
-    if np.any(np.isnan(p_arr)) or np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
+def _require(name, *shapes):
+    """The shape parameters as float arrays; each must be finite and > 0."""
+    arrays = [np.asarray(s, dtype=float) for s in shapes]
+    for s in arrays:
+        if not ((s > 0.0) & (s < math.inf)).all():
+            raise DomainError(f"{name} requires finite shape parameters > 0")
+    return arrays
+
+
+def _check_prob(x, name="p"):
+    """x as a float array; it must lie in [0, 1], and NaN fails."""
+    x = np.asarray(x, dtype=float)
+    if not ((x >= 0.0) & (x <= 1.0)).all():
         raise DomainError(f"{name} must lie in [0, 1]")
+    return x
+
+
+def _result(out, *args):
+    """float when every argument is 0-d, the array otherwise."""
+    return float(out) if all(np.ndim(a) == 0 for a in args) else out
 
 
 def log_gamma(a):
-    """Natural log of the gamma function for a > 0. Accepts arrays."""
-    a_arr = np.asarray(a, dtype=float)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
-        raise DomainError("log_gamma requires a > 0")
-    out = _sp.gammaln(a_arr)
-    return float(out) if np.isscalar(a) or a_arr.ndim == 0 else out
+    """Natural log of the gamma function, a > 0."""
+    (a,) = _require("log_gamma", a)
+    return _result(_sp.gammaln(a), a)
 
 
 def log_beta(a, b):
-    """Natural log of the beta function B(a, b) for a, b > 0. Accepts arrays."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0) or np.any(
-        ~np.isfinite(b_arr)
-    ) or np.any(b_arr <= 0.0):
-        raise DomainError("log_beta requires a > 0 and b > 0")
-    out = _sp.betaln(a_arr, b_arr)
-    return float(out) if np.isscalar(a) and np.isscalar(b) else out
+    """Natural log of the beta function B(a, b), a, b > 0."""
+    a, b = _require("log_beta", a, b)
+    return _result(_sp.betaln(a, b), a, b)
 
 
 def reg_inc_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
-        raise DomainError("reg_inc_gamma requires a > 0")
-    if np.any(np.isnan(x_arr)) or np.any(x_arr < 0.0):
+    (a,) = _require("reg_inc_gamma", a)
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0.0).all():
         raise DomainError("reg_inc_gamma requires x >= 0")
-    out = _sp.gammainc(a_arr, x_arr)
-    scalar = np.isscalar(a) and np.isscalar(x)
-    return float(out) if scalar else out
+    return _result(_sp.gammainc(a, x), a, x)
 
 
 def reg_inc_gamma_c(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    a_arr = np.asarray(a, dtype=float)
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0):
-        raise DomainError("reg_inc_gamma_c requires a > 0")
-    if np.any(np.isnan(x_arr)) or np.any(x_arr < 0.0):
+    (a,) = _require("reg_inc_gamma_c", a)
+    x = np.asarray(x, dtype=float)
+    if not (x >= 0.0).all():
         raise DomainError("reg_inc_gamma_c requires x >= 0")
-    out = _sp.gammaincc(a_arr, x_arr)
-    scalar = np.isscalar(a) and np.isscalar(x)
-    return float(out) if scalar else out
+    return _result(_sp.gammaincc(a, x), a, x)
 
 
 def reg_inc_gamma_inv(a, p):
     """Inverse of P(a, .): returns x with P(a, x) = p."""
-    if not np.all(np.asarray(a, dtype=float) > 0.0):
-        raise DomainError("reg_inc_gamma_inv requires a > 0")
-    _check_prob(p)
-    out = _sp.gammaincinv(a, p)
-    return float(out) if np.isscalar(a) and np.isscalar(p) else out
+    (a,) = _require("reg_inc_gamma_inv", a)
+    p = _check_prob(p)
+    return _result(_sp.gammaincinv(a, p), a, p)
 
 
 def reg_inc_gamma_c_inv(a, p):
     """Inverse of Q(a, .): returns x with Q(a, x) = p."""
-    if not np.all(np.asarray(a, dtype=float) > 0.0):
-        raise DomainError("reg_inc_gamma_c_inv requires a > 0")
-    _check_prob(p)
-    out = _sp.gammainccinv(a, p)
-    return float(out) if np.isscalar(a) and np.isscalar(p) else out
+    (a,) = _require("reg_inc_gamma_c_inv", a)
+    p = _check_prob(p)
+    return _result(_sp.gammainccinv(a, p), a, p)
 
 
 def reg_inc_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b), a, b > 0, x in [0, 1]."""
-    a_arr = np.asarray(a, dtype=float)
-    b_arr = np.asarray(b, dtype=float)
-    if np.any(~np.isfinite(a_arr)) or np.any(a_arr <= 0.0) or np.any(
-        ~np.isfinite(b_arr)
-    ) or np.any(b_arr <= 0.0):
-        raise DomainError("reg_inc_beta requires a > 0 and b > 0")
-    _check_prob(x, "x")
-    out = _sp.betainc(a_arr, b_arr, x)
-    scalar = np.isscalar(a) and np.isscalar(b) and np.isscalar(x)
-    return float(out) if scalar else out
+    a, b = _require("reg_inc_beta", a, b)
+    x = _check_prob(x, "x")
+    return _result(_sp.betainc(a, b, x), a, b, x)
 
 
 def reg_inc_beta_inv(a, b, p):
@@ -154,17 +152,14 @@ def reg_inc_beta_inv(a, b, p):
     term (p a B(a, b))^(1/a) of the small-x series
     I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), which is exact to O(x).
     """
-    if not (np.all(np.asarray(a, dtype=float) > 0.0) and np.all(np.asarray(b, dtype=float) > 0.0)):
-        raise DomainError("reg_inc_beta_inv requires a > 0 and b > 0")
-    _check_prob(p)
-    scalar = np.isscalar(a) and np.isscalar(b) and np.isscalar(p)
+    a, b = _require("reg_inc_beta_inv", a, b)
+    p = _check_prob(p)
     out = np.asarray(_sp.betaincinv(a, b, p))
-    p_arr = np.asarray(p, dtype=float)
-    lost = np.isnan(out) | ((p_arr > 0.0) & (p_arr < np.finfo(float).tiny))
+    lost = np.isnan(out) | ((p > 0.0) & (p < np.finfo(float).tiny))
     if lost.any():
-        a, b, p = (np.broadcast_to(np.asarray(v, dtype=float), out.shape)[lost] for v in (a, b, p))
-        out[lost] = np.exp((np.log(p) + np.log(a) + _sp.betaln(a, b)) / a)
-    return float(out) if scalar else out
+        la, lb, lp = (np.broadcast_to(v, out.shape)[lost] for v in (a, b, p))
+        out[lost] = np.exp((np.log(lp) + np.log(la) + _sp.betaln(la, lb)) / la)
+    return _result(out, a, b, p)
 
 
 def student_t_cdf(df, t):
@@ -173,22 +168,21 @@ def student_t_cdf(df, t):
     The tail mass P(|T| > |t|) is I_z(df/2, 1/2) with z = df/(df + t^2).
     Where t^2 < df, z rounds towards 1, so the central mass
     P(|T| < |t|) = I_x(1/2, df/2) at x = t^2/(df + t^2) is used instead:
-    F(t) = 1/2 +- I_x(1/2, df/2)/2. Accepts array t.
+    F(t) = 1/2 +- I_x(1/2, df/2)/2.
     """
-    if not np.all(np.asarray(df, dtype=float) > 0.0):
-        raise DomainError("student_t_cdf requires df > 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(t_arr)):
-        raise DomainError("student_t_cdf requires finite t")
-    half = np.asarray(df, dtype=float) / 2.0
-    t2 = t_arr * t_arr
+    (df,) = _require("student_t_cdf", df)
+    t = np.asarray(t, dtype=float)
+    if np.isnan(t).any():
+        raise DomainError("student_t_cdf requires t that is not NaN (+-inf is allowed)")
+    half = df / 2.0
+    t2 = t * t
     near = t2 < df
     mass = _sp.betainc(
         np.where(near, 0.5, half), np.where(near, half, 0.5), np.where(near, t2, df) / (df + t2)
     )
-    far = np.where(t_arr >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
-    out = np.where(near, 0.5 + np.copysign(0.5 * mass, t_arr), far)
-    return float(out) if np.isscalar(t) or t_arr.ndim == 0 else out
+    far = np.where(t >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
+    out = np.where(near, 0.5 + np.copysign(0.5 * mass, t), far)
+    return _result(out, df, t)
 
 
 def student_t_quantile(df, p):
@@ -200,18 +194,16 @@ def student_t_quantile(df, p):
     complement, and t = sqrt(df x/(1-x)). Where t^2 > df, x rounds towards
     1, so z = 1 - x = I^{-1}(df/2, 1/2; tail) gives t = sqrt(df (1-z)/z).
     """
-    if not np.all(np.asarray(df, dtype=float) > 0.0):
-        raise DomainError("student_t_quantile requires df > 0")
-    _check_prob(p)
-    p_arr = np.asarray(p, dtype=float)
-    half = np.asarray(df, dtype=float) / 2.0
-    tail = 2.0 * np.minimum(p_arr, 1.0 - p_arr)
+    (df,) = _require("student_t_quantile", df)
+    p = _check_prob(p)
+    half = df / 2.0
+    tail = 2.0 * np.minimum(p, 1.0 - p)
     with np.errstate(divide="ignore"):
         x = _sp.betainccinv(0.5, half, tail)
         z = _sp.betaincinv(half, 0.5, tail)
         mag = np.sqrt(df * np.where(x <= 0.5, x / (1.0 - x), (1.0 - z) / z))
-    out = np.where(p_arr >= 0.5, mag, -mag)
-    return float(out) if np.isscalar(p) or p_arr.ndim == 0 else out
+    out = np.where(p >= 0.5, mag, -mag)
+    return _result(out, df, p)
 
 
 def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12):

@@ -42,6 +42,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateDataError, DomainError
 from .model import SufficientStats
+from .numerics import _result
 
 __all__ = [
     "StandardFamily",
@@ -57,24 +58,10 @@ __all__ = [
 ]
 
 
-def _check_stats(stats: SufficientStats):
-    if stats.n < 3:
-        raise DomainError("posteriors need n >= 3")
-    if stats.s11 <= 0.0:
-        raise DegenerateDataError("s11 must be positive")
-    if stats.s22_1 <= 0.0:
-        raise DegenerateDataError("s22.1 must be positive")
-
-
 def _check_level_prob(p):
-    arr = np.asarray(p, dtype=float)
-    if np.any(np.isnan(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
+    p = np.asarray(p, dtype=float)
+    if not ((p > 0.0) & (p < 1.0)).all():
         raise DomainError("probabilities must lie strictly inside (0, 1)")
-
-
-def _like(out, x):
-    """float for a scalar argument x, the array otherwise."""
-    return float(out) if np.isscalar(x) else out
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +118,7 @@ def _eta_cdf(n, z):
     near = arr[~far]
     out[~far] = numerics.reg_inc_beta((n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (near * near)))
     out[far] = 1.0 - _eta_upper_tail(n, arr[far])
-    return _like(out, z)
+    return _result(out, z)
 
 
 def _eta_isf(n, q):
@@ -200,8 +187,8 @@ class PosteriorDistribution:
 
     Subclasses declare family and pivot(n, s11, s12, s22_1), which returns
     (location, scale) and accepts arrays of statistics. Methods
-    pdf/logpdf/cdf/quantile accept scalars or arrays; mode() and mean()
-    describe the shape.
+    pdf/logpdf/cdf/quantile return a float for a 0-d argument and an
+    array otherwise; mode() and mean() describe the shape.
     """
 
     param_id: str = ""
@@ -212,18 +199,17 @@ class PosteriorDistribution:
         raise NotImplementedError
 
     def __init__(self, stats: SufficientStats):
-        _check_stats(stats)
+        # SufficientStats itself rejects n < 3 and s11 <= 0
+        if stats.s22_1 <= 0.0:
+            raise DegenerateDataError("s22.1 must be positive")
         self.stats = stats
         location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
         self.location, self.scale = float(location), float(scale)
         self._log_norm = self.family.log_norm(stats.n) - math.log(self.scale)
 
-    def support(self):
-        return (self.location + self.scale * self.family.lower, math.inf)
-
     def _z(self, x):
         arr = np.asarray(x, dtype=float)
-        if np.any(np.isnan(arr)):
+        if np.isnan(arr).any():
             raise DomainError("argument must not be NaN")
         return (arr - self.location) / self.scale
 
@@ -232,21 +218,21 @@ class PosteriorDistribution:
         inside = z > self.family.lower
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             kernel = self.family.log_kernel(self.stats.n, np.where(inside, z, 1.0))
-        return _like(np.where(inside, self._log_norm + kernel, -math.inf), x)
+        return _result(np.where(inside, self._log_norm + kernel, -math.inf), x)
 
     def pdf(self, x):
         with np.errstate(over="ignore"):
-            return _like(np.exp(self.logpdf(x)), x)
+            return _result(np.exp(self.logpdf(x)), x)
 
     def cdf(self, x):
         z = np.maximum(self._z(x), self.family.lower)
         with np.errstate(divide="ignore"):
-            return _like(self.family.cdf(self.stats.n, z), x)
+            return _result(self.family.cdf(self.stats.n, z), x)
 
     def quantile(self, p):
         _check_level_prob(p)
         z = np.asarray(self.family.quantile(self.stats.n, p), dtype=float)
-        return _like(self.location + self.scale * z, p)
+        return _result(self.location + self.scale * z, p)
 
     def mode(self):
         return self.location + self.scale * self.family.mode(self.stats.n)

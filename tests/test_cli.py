@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from bvnprior import cli
+from bvnprior import cli, matching
 from bvnprior.cli import main
 from bvnprior.coverage import DEFAULT_SEED
 from bvnprior.matching import MATCHING_PRIOR, GridSpec, residual_report_csv, verify_prior
@@ -342,6 +342,19 @@ def test_verify_lemma_float_failure_prints_one_error_line(capsys, sigma1):
     assert code == 4
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
+def test_verify_lemma_rejects_an_unrepresentable_claim_before_sampling(capsys, monkeypatch):
+    # eta is about 8.7e149 here, so the claimed 1/eta^3 overflows a float
+    draws = []
+    monkeypatch.setattr(matching, "sample", lambda *args: draws.append(args))
+    code, out, err = run_cli(capsys, "verify-lemma", "--samples", "100000", "--sigma1", "1e-150")
+    assert code == 4
+    assert out == "" and draws == []
+    assert err == (
+        "error: the claimed value of E[d3l/dbeta2 deta] is not a finite float at "
+        "theta=8.660254037844386e-151, eta=8.660254037844385e+149\n"
+    )
 
 
 def test_output_flag_writes_files(tmp_path, dataset, capsys):

@@ -242,6 +242,22 @@ def test_cdf_vectorizes():
     assert np.all(np.diff(out) > 0.0)
 
 
+@pytest.mark.parametrize(
+    "make", [beta_posterior, theta_posterior, precision_posterior, eta_posterior]
+)
+def test_zero_d_arguments_give_floats(make):
+    # the numerics return rule: a float exactly when the argument is 0-d
+    dist = make(REF)
+    x = dist.quantile(0.3)
+    for method, arg in ((dist.cdf, x), (dist.logpdf, x), (dist.pdf, x), (dist.quantile, 0.3)):
+        expected = method(arg)
+        for scalar in (float, np.float64, np.array):
+            out = method(scalar(arg))
+            assert type(out) is float and out == expected, (method.__name__, scalar)
+        out = method(np.array([arg]))
+        assert type(out) is np.ndarray and out.shape == (1,)
+
+
 def _upper_tail_by_mpmath(mpmath, family, n, z):
     """P(Z > z) for each standard family, by mpmath's incomplete functions."""
     z = mpmath.mpf(z)
