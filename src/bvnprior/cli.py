@@ -63,24 +63,19 @@ _POSTERIORS = {
 _QUANTILE_PROBS = (0.025, 0.25, 0.5, 0.75, 0.975)
 
 
-def _float_list(text: str):
-    try:
-        values = tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated float list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+def _list_of(kind):
+    """argparse type for a comma-separated list of kind (float or int)."""
 
+    def parse(text: str):
+        try:
+            values = tuple(kind(tok) for tok in text.split(",") if tok.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a comma-separated {kind.__name__} list: {text!r}")
+        if not values:
+            raise argparse.ArgumentTypeError("empty list")
+        return values
 
-def _int_list(text: str):
-    try:
-        values = tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("empty list")
-    return values
+    return parse
 
 
 def _grid_axis(text: str):
@@ -110,34 +105,18 @@ def _write_text(path, text: str):
 
 
 def _read_stats(path):
-    if path == "-":
-        data = read_dataset(sys.stdin)
-    else:
-        data = read_dataset(path)
-    return sufficient_stats(data)
+    return sufficient_stats(read_dataset(sys.stdin if path == "-" else path))
 
 
 def _cmd_sample(args) -> int:
     params = OriginalParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.rho)
     data = sample(params, args.n, args.seed)
-    if args.output is None:
-        write_dataset(sys.stdout, data)
-    else:
-        write_dataset(args.output, data)
+    write_dataset(sys.stdout if args.output is None else args.output, data)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    st = _read_stats(args.input)
-    payload = {
-        "n": st.n,
-        "xbar1": st.xbar1,
-        "xbar2": st.xbar2,
-        "s11": st.s11,
-        "s22": st.s22,
-        "s12": st.s12,
-        "s22_1": st.s22_1,
-    }
+    payload = dataclasses.asdict(_read_stats(args.input))
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return 0
 
@@ -212,11 +191,7 @@ def _cmd_verify_prior(args) -> int:
     if args.format == "csv":
         text = residual_report_csv(reports)
     elif args.format == "json":
-        payload = []
-        for r in reports:
-            d = dataclasses.asdict(r)
-            d["pass"] = r.passed
-            payload.append(d)
+        payload = [{**dataclasses.asdict(r), "pass": r.passed} for r in reports]
         text = json.dumps(payload, indent=2) + "\n"
     else:
         text = (
@@ -270,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_interval)
 
     p = sub.add_parser("coverage", help="frequentist coverage simulation table")
-    p.add_argument("--rhos", type=_float_list, default=TABLE_RHOS)
-    p.add_argument("--ns", type=_int_list, default=TABLE_NS)
+    p.add_argument("--rhos", type=_list_of(float), default=TABLE_RHOS)
+    p.add_argument("--ns", type=_list_of(int), default=TABLE_NS)
     p.add_argument("--replicates", type=int, default=5000)
     p.add_argument("--level", type=float, default=0.95)
     p.add_argument(

@@ -2,11 +2,14 @@
 
 Two independent kinds of evidence are produced:
 
-* verify_score_moments draws from the model and confirms, by Monte Carlo,
-  the closed-form moment identities for products and third derivatives of
-  the log density that every matching argument below relies on (for
-  example E[d^3 log f / d theta^3] = 4/theta^3). Every integrand is a
-  product of the exact log-density partials of model._partial.
+* verify_score_moments confirms by Monte Carlo the closed-form moment
+  identities for products and third derivatives of the log density that
+  every matching argument below relies on (for example
+  E[d^3 log f / d theta^3] = 4/theta^3). Every integrand is a product of
+  the exact log-density partials of model._partial, which depend on a draw
+  only through its residuals u ~ N(0, theta eta) and v ~ N(0, theta/eta);
+  those are drawn from their law, from the normals sample() would use, so
+  the means do not enter. Each integrand is built in two reused buffers.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for the posterior
@@ -33,22 +36,20 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from functools import reduce
-from operator import attrgetter, mul
+from operator import attrgetter
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
-# log_density_partial is not called here; it stays bound in this namespace
-# because the benchmark's span recorder wraps matching.log_density_partial
+# log_density_partial and sample are not called here; they stay bound in this
+# namespace because the benchmark's span recorder wraps them as matching attributes
 from .model import (
     OrthogonalParams,
+    _draw_residual_powers,
     _partial,
-    _residual_powers,
     log_density_partial,  # noqa: F401
-    sample,
-    to_original,
+    sample,  # noqa: F401
 )
 
 __all__ = [
@@ -503,18 +504,21 @@ def verify_score_moments(
 ) -> list[ExpectationCheck]:
     """Monte Carlo confirmation of the moment identities at one point.
 
-    Draws n_samples observations from the model at params and averages the
-    corresponding product of log-density derivatives for each identity.
+    Draws the residuals u and v of n_samples observations from their exact
+    law, from the normals of sample(to_original(params), n_samples, seed)
+    (see model._draw_residual_powers; the means do not enter), and averages
+    the corresponding product of log-density derivatives for each identity.
     The partials are exact (model._partial) and built from residual powers
     shared by all identities, so a check passes when
     |estimate - claim| <= 4 * stderr; an identically zero integrand gives
-    estimate 0 with stderr 0. A claimed value that is not a finite float
-    at (theta, eta) raises NumericalError before any sampling; a
-    floating-point overflow, division by zero or invalid operation in the
+    estimate 0 with stderr 0. n_samples must be an integer >= 100000 and
+    seed non-negative (else DomainError). A claimed value that is not a
+    finite float at (theta, eta) raises NumericalError before any sampling;
+    a floating-point overflow, division by zero or invalid operation in the
     integrands raises FloatingPointError.
     """
-    if n_samples < 100_000:
-        raise DomainError("verify_score_moments needs n_samples >= 100000")
+    if not isinstance(n_samples, (int, np.integer)) or n_samples < 100_000:
+        raise DomainError("verify_score_moments needs an integer n_samples >= 100000")
     t, e = params.theta, params.eta
     claims = []
     for label, _, claim in _MOMENTS:
@@ -530,28 +534,26 @@ def verify_score_moments(
     # a floating-point error fails the check instead of warning its way to
     # a meaningless estimate
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        # the (n_samples, 2) draws are freed once the residual powers exist
-        powers = _residual_powers(params, *sample(to_original(params), n_samples, seed).T)
+        powers = _draw_residual_powers(params, n_samples, seed)
+        # every integrand is built in a and b, with the operations of
+        # _partial and reduce(mul) in their order, so it rounds as theirs do
+        a, b = np.empty(n_samples), np.empty(n_samples)
         checks = []
-        # one integrand at a time keeps as few n_samples-long arrays alive as possible
-        for (label, factors, _), claimed in zip(_MOMENTS, claims):
-            partials = {f: _partial(powers, t, e, f) for f in factors}
-            vals = reduce(mul, (partials[f] for f in factors))
+        for (label, (first, *rest), _), claimed in zip(_MOMENTS, claims):
+            vals = _partial(powers, t, e, first, out=a, scratch=b)
+            if rest == [first, first]:  # a cube, (P * P) * P
+                vals = np.multiply(a, a, out=b)
+                vals *= a
+            elif rest:
+                # only the pure theta/eta pair needs a scratch here; every
+                # integrand that reads uv comes before it, so uv's row serves
+                vals *= _partial(powers, t, e, rest[0], out=b, scratch=powers[1])
             estimate = float(np.mean(vals))
             # np.std's sum of squares without its copy: vals is not used again
             vals -= estimate
             stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
             passed = abs(estimate - claimed) <= 4.0 * stderr
-            checks.append(
-                ExpectationCheck(
-                    label=label,
-                    claimed=claimed,
-                    estimate=estimate,
-                    stderr=stderr,
-                    n_samples=n_samples,
-                    passed=passed,
-                )
-            )
+            checks.append(ExpectationCheck(label, claimed, estimate, stderr, n_samples, passed))
     return checks
 
 

@@ -182,21 +182,12 @@ def log_density(p: OrthogonalParams, x1, x2):
 
 
 def _residual_powers(p: OrthogonalParams, x1, x2):
-    """(u^2, uv, v^2) as the rows of one array; u and v are squared in place.
-
-    One block is freed whole, where three arrays could stay in the heap."""
-    powers = np.empty((3,) + np.broadcast_shapes(np.shape(x1), np.shape(x2)))
-    u, uv, v = (powers[i, ...] for i in range(3))  # views, even of 0-d rows
-    np.subtract(x1, p.mu1, out=v)
-    np.subtract(x2, p.mu2, out=u)
-    u -= p.beta * v
-    np.multiply(u, v, out=uv)
-    u *= u
-    v *= v
-    return powers
+    """(u^2, uv, v^2) of the residuals of x1, x2, as the rows of one array."""
+    u, v = _residuals(p, x1, x2)
+    return np.stack(np.broadcast_arrays(u * u, u * v, v * v))
 
 
-def _partial(powers, theta, eta, orders):
+def _partial(powers, theta, eta, orders, out=None, scratch=None):
     """Exact partial of log f of orders (i, k, j) in (beta, theta, eta).
 
     powers is (u^2, uv, v^2) from _residual_powers, and
@@ -204,17 +195,19 @@ def _partial(powers, theta, eta, orders):
     d^i/dbeta^i u^2 is (1, -2, 2, 0)[i] * powers[i], as du/dbeta = -v;
     d^j/deta^j 1/(2 eta) = (-1)^j j!/(2 eta^(j+1)); d^k/dtheta^k -1/theta
     = (-1)^(k+1) k!/theta^(k+1); eta v^2/2 enters only where i = 0 and
-    j < 2, and -log theta only the pure theta partials.
+    j < 2, and -log theta only the pure theta partials. The partial is
+    written to out and its v^2 term to scratch, each a new array if None.
     """
     i, k, j = orders
     d_theta = (-1) ** (k + 1) * math.factorial(k) / theta ** (k + 1)
+    out = np.empty_like(powers[1]) if out is None else out
     if i == 3:
-        out = np.zeros_like(powers[1])
+        out.fill(0.0)
     else:
         d_eta = (-1) ** j * math.factorial(j) / (2.0 * eta ** (j + 1))
-        out = powers[i] * ((1.0, -2.0, 2.0)[i] * d_eta * d_theta)
+        np.multiply(powers[i], (1.0, -2.0, 2.0)[i] * d_eta * d_theta, out=out)
     if i == 0 and j < 2:
-        out += powers[2] * (0.5 * (eta if j == 0 else 1.0) * d_theta)
+        out += np.multiply(powers[2], 0.5 * (eta if j == 0 else 1.0) * d_theta, out=scratch)
     if i == j == 0:
         out += (-1) ** k * math.factorial(k - 1) / theta ** k
     return out
@@ -236,6 +229,13 @@ def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
     return _result(out, x1, x2)
 
 
+def _normals(n: int, seed: int) -> np.ndarray:
+    """The (n, 2) standard normals of seed that sample and _draw_residual_powers scale."""
+    if seed < 0:
+        raise DomainError("seed must be non-negative")
+    return np.random.default_rng(seed).standard_normal((n, 2))
+
+
 def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     """Draw n pairs from the model; deterministic given seed.
 
@@ -245,12 +245,31 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise DomainError("sample requires n >= 1")
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
-    z1, z2 = np.random.default_rng(seed).standard_normal((n, 2)).T
+    z1, z2 = _normals(n, seed).T
     x1 = p.mu1 + p.sigma1 * z1
     x2 = p.mu2 + p.sigma2 * (p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)
     return np.stack((x1, x2), axis=-1)
+
+
+def _draw_residual_powers(p: OrthogonalParams, n: int, seed: int) -> np.ndarray:
+    """(u^2, uv, v^2) of n draws from the model, as the rows of one array.
+
+    u = x2 - mu2 - beta (x1 - mu1) and v = x1 - mu1 are independent
+    N(0, theta eta) and N(0, theta/eta), so they are drawn directly:
+    v = sqrt(theta)/sqrt(eta) Z1 and u = sqrt(theta) sqrt(eta) Z2, from
+    the normals of sample(to_original(p), n, seed). The means and beta do
+    not enter, and no intermediate overflows before u^2 or v^2 does.
+    """
+    z = _normals(n, seed)
+    powers = np.empty((3, n))
+    u, uv, v = powers
+    root_theta, root_eta = math.sqrt(p.theta), math.sqrt(p.eta)
+    np.multiply(z[:, 0], root_theta / root_eta, out=v)
+    np.multiply(z[:, 1], root_theta * root_eta, out=u)
+    np.multiply(u, v, out=uv)
+    u *= u
+    v *= v
+    return powers
 
 
 def sufficient_stats(data) -> SufficientStats:

@@ -181,6 +181,17 @@ def test_verify_lemma_quick(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_verify_lemma_does_not_depend_on_the_means(capsys):
+    # x - mu at |mu| = 1e16 would round every residual to a multiple of 2
+    # and fail 14 of the 15 identities (exit 4); the means do not enter
+    far = run_cli(capsys, "verify-lemma", "--mu1", "1e16", "--mu2=-1e16", "--samples", "100000",
+                  "--seed", "3", "--format", "csv")
+    near = run_cli(capsys, "verify-lemma", "--mu1", "0", "--mu2=0", "--samples", "100000",
+                   "--seed", "3", "--format", "csv")
+    assert far == near
+    assert far[0] == 0 and far[2] == ""
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(capsys, "sample")[0] == 2  # missing --n
     assert run_cli(capsys, "nonsense")[0] == 2
@@ -347,7 +358,7 @@ def test_verify_lemma_float_failure_prints_one_error_line(capsys, sigma1):
 def test_verify_lemma_rejects_an_unrepresentable_claim_before_sampling(capsys, monkeypatch):
     # eta is about 8.7e149 here, so the claimed 1/eta^3 overflows a float
     draws = []
-    monkeypatch.setattr(matching, "sample", lambda *args: draws.append(args))
+    monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: draws.append(args))
     code, out, err = run_cli(capsys, "verify-lemma", "--samples", "100000", "--sigma1", "1e-150")
     assert code == 4
     assert out == "" and draws == []

@@ -4,10 +4,15 @@ import csv
 import io
 import math
 import re
+import tracemalloc
+from dataclasses import replace
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
 
+from bvnprior import matching
 from bvnprior.errors import DomainError
 from bvnprior.matching import (
     _MOMENTS,
@@ -29,7 +34,15 @@ from bvnprior.matching import (
     verify_prior,
     verify_score_moments,
 )
-from bvnprior.model import OrthogonalParams, log_density_partial, sample, to_original
+from bvnprior.model import (
+    OrthogonalParams,
+    _draw_residual_powers,
+    _partial,
+    _residual_powers,
+    log_density_partial,
+    sample,
+    to_original,
+)
 
 MATCHING_FD = PriorSpec("matching-fd", MATCHING_PRIOR.log_prior)
 FLAT_FD = PriorSpec("flat-fd", FLAT_PRIOR.log_prior)
@@ -165,6 +178,87 @@ def test_score_moments_deterministic_in_seed():
 def test_score_moments_rejects_tiny_sample():
     with pytest.raises(DomainError):
         verify_score_moments(POINT, n_samples=1000, seed=0)
+
+
+@pytest.mark.parametrize("n_samples", [1e5, 100_000.0, "100000", None])
+def test_score_moments_rejects_a_non_integer_sample_size(n_samples):
+    with pytest.raises(DomainError, match="integer n_samples"):
+        verify_score_moments(POINT, n_samples, seed=0)
+
+
+def test_score_moments_rejects_a_negative_seed():
+    with pytest.raises(DomainError, match="seed must be non-negative"):
+        verify_score_moments(POINT, 100_000, seed=-1)
+
+
+def test_score_moments_do_not_depend_on_the_means():
+    # at |mu| = 1e16 floats are 2 apart, so x - mu would round every
+    # residual to a multiple of 2 and fail 14 of the 15 identities; the
+    # residuals are drawn without the means
+    far = verify_score_moments(replace(POINT, mu1=1e16, mu2=-1e16), 100_000, seed=3)
+    near = verify_score_moments(POINT, 100_000, seed=3)
+    assert [(c.estimate, c.stderr) for c in far] == [(c.estimate, c.stderr) for c in near]
+    assert all(c.passed for c in far)
+
+
+@pytest.mark.parametrize("params, seed", [
+    (POINT, 11),
+    (OrthogonalParams(0.0, 0.0, -1.4, 0.7, 2.2), 12),
+    (OrthogonalParams(0.0, 0.0, 0.0, 2.4, 0.65), 13),
+    (OrthogonalParams(0.0, 0.0, 3.0, 1e-3, 50.0), 14),
+])
+def test_drawn_residual_powers_equal_the_sampled_ones(params, seed):
+    # the same normals as sample(to_original(p), n, seed), minus the data
+    # round trip: v^2 is bit-identical, and u^2 and uv differ by the
+    # rounding of x2 - beta x1
+    direct = _draw_residual_powers(params, 100_000, seed)
+    via_sample = _residual_powers(params, *sample(to_original(params), 100_000, seed).T)
+    assert np.array_equal(direct[2], via_sample[2])
+    error = np.abs(direct - via_sample).max(axis=1)
+    assert np.all(error <= 1e-12 * np.abs(via_sample).max(axis=1))
+
+
+def reference_integrand_moments(powers, theta, eta, n_samples):
+    """(estimate, stderr) per _MOMENTS entry: a new array per partial and product."""
+    out = []
+    for _, factors, _ in _MOMENTS:
+        partials = {f: _partial(powers, theta, eta, f) for f in factors}
+        vals = reduce(mul, (partials[f] for f in factors))
+        estimate = float(np.mean(vals))
+        centred = vals - estimate
+        variance = float(np.dot(centred, centred)) / (n_samples - 1)
+        out.append((estimate, math.sqrt(variance) / math.sqrt(n_samples)))
+    return out
+
+
+@pytest.mark.parametrize("params, seed", [
+    (POINT, 21),
+    (OrthogonalParams(0.3, -0.2, -1.1, 0.7, 2.2), 22),
+    (OrthogonalParams(1.0, 1.0, 0.0, 2.4, 0.65), 23),
+])
+def test_buffered_integrands_equal_the_partial_product_loop(params, seed, monkeypatch):
+    powers = _draw_residual_powers(params, 100_000, seed)
+    expected = reference_integrand_moments(powers, params.theta, params.eta, 100_000)
+    # verify_score_moments overwrites one row of its powers, so it gets a copy
+    monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: powers.copy())
+    checks = verify_score_moments(params, 100_000, seed)
+    assert [(c.estimate, c.stderr) for c in checks] == expected
+    assert [c.passed for c in checks] == [
+        abs(estimate - c.claimed) <= 4.0 * stderr for c, (estimate, stderr) in zip(checks, expected)
+    ]
+
+
+def test_score_moments_hold_at_most_six_sample_length_arrays():
+    # the residual powers are three arrays and the integrands are built in
+    # two more; drawing through sample and x - mu took eight
+    n_samples = 1_000_000
+    tracemalloc.start()
+    try:
+        verify_score_moments(POINT, n_samples, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * n_samples
 
 
 def test_report_serializations():
