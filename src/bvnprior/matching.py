@@ -22,12 +22,12 @@ Two independent kinds of evidence are produced:
 Each residual is the left side of the corresponding reduced identity,
 expanded by the product rule into the prior value and its first/second
 partials, so both the analytic and the finite-difference route evaluate
-the same linear functional of the prior. The partials are taken once per
-grid point and shared by every identity; each beta plane of them is one
-PriorPartials of arrays, on which the residuals are plain array
-arithmetic. The finite-difference route takes its stencil a plane at a
-time too: 13 log_prior calls per point, differenced as arrays. A NaN
-residual anywhere fails its identity.
+the same linear functional of the prior. The grid is taken in blocks of
+whole beta planes, at most _BLOCK_POINTS points (or one plane) each; a
+block's partials are one PriorPartials of arrays, shared by every
+identity, and each residual is one array pass over the block. Analytic
+partials are one call on broadcastable axes per block, finite differences
+13 log_prior calls per point. A NaN residual anywhere fails its identity.
 """
 
 from __future__ import annotations
@@ -76,20 +76,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PriorPartials:
-    """Prior density and its partials at one (beta, theta, eta) point.
+    """Prior density and its partials at (beta, theta, eta) points.
 
     Mixed partials never enter the reduced identities, so only the pure
-    first and second partials are carried. verify_prior fills the fields
-    with arrays over a beta plane of the grid.
+    first and second partials are carried. Fields are floats or arrays;
+    verify_prior broadcasts each to a (beta, theta, eta) block of the grid.
     """
 
-    value: float
-    d_beta: float
-    d_theta: float
-    d_eta: float
-    d2_beta: float
-    d2_theta: float
-    d2_eta: float
+    value: float | np.ndarray
+    d_beta: float | np.ndarray
+    d_theta: float | np.ndarray
+    d_eta: float | np.ndarray
+    d2_beta: float | np.ndarray
+    d2_theta: float | np.ndarray
+    d2_eta: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,15 @@ class PriorSpec:
     """A prior on (beta, theta, eta) given by its log density.
 
     analytic_partials, when provided, must return PriorPartials of the
-    *density* (not the log density) at a point; otherwise partials are
-    taken by finite differences of exp(log_prior).
+    *density* (not the log density). verify_prior calls it once per block
+    with arrays beta (n, 1, 1), theta (1, m, 1) and eta (1, 1, k), and each
+    field must broadcast to (n, m, k); without it, partials are taken by
+    finite differences of exp(log_prior), one np.float64 point at a time.
     """
 
     name: str
     log_prior: Callable[[float, float, float], float]
-    analytic_partials: Callable[[float, float, float], PriorPartials] | None = None
+    analytic_partials: Callable[[np.ndarray, np.ndarray, np.ndarray], PriorPartials] | None = None
 
 
 def _matching_log(b, t, e):
@@ -146,10 +148,11 @@ class GridSpec:
     def __post_init__(self):
         for name in ("beta", "theta", "eta"):
             lo, hi, count = getattr(self, name)
-            if not (math.isfinite(lo) and math.isfinite(hi)):
-                raise DomainError(f"grid axis {name} needs finite bounds")
-            if not lo < hi or count < 2:
-                raise DomainError(f"grid axis {name} needs lo < hi and count >= 2")
+            if not math.isfinite(float(hi) - float(lo)):  # so are both bounds
+                raise DomainError(f"grid axis {name} needs finite bounds and a finite span")
+            integer = isinstance(count, (int, np.integer)) and not isinstance(count, bool)
+            if not (integer and count >= 2 and lo < hi):
+                raise DomainError(f"grid axis {name} needs lo < hi and an integer count >= 2")
         if self.theta[0] <= 0.0 or self.eta[0] <= 0.0:
             raise DomainError("theta and eta grid must stay positive")
 
@@ -375,23 +378,19 @@ def _pass_tol(used_analytic: bool) -> float:
     return 1e-5 if used_analytic else 1e-3
 
 
-_PARTIAL_FIELDS = tuple(f.name for f in fields(PriorPartials))
-_PARTIAL_VALUES = attrgetter(*_PARTIAL_FIELDS)
+_PARTIAL_VALUES = attrgetter(*(f.name for f in fields(PriorPartials)))
+_BLOCK_POINTS = 1 << 16  # grid points held at a time, but at least one beta plane
 
 
-def _plane_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
-    """The prior's partials on the plane beta = b.
-
-    Each field is a (len(theta_ax), len(eta_ax)) array; only one plane of
-    the grid is held at a time. Analytic partials are called once per
-    point.
-    """
+def _block_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
+    """The prior's partials on the beta planes b, as (b.size, theta, eta) arrays."""
     if prior.analytic_partials is None:
-        return _fd_plane(prior.log_prior, b, theta_ax, eta_ax)
-    at = prior.analytic_partials
-    plane = np.array([_PARTIAL_VALUES(at(b, t, e)) for t in theta_ax for e in eta_ax], dtype=float)
-    plane = plane.reshape(len(theta_ax), len(eta_ax), len(_PARTIAL_FIELDS))
-    return PriorPartials(*np.moveaxis(plane, -1, 0))
+        planes = [_PARTIAL_VALUES(_fd_plane(prior.log_prior, x, theta_ax, eta_ax)) for x in b]
+        return PriorPartials(*map(np.stack, zip(*planes)))
+    shape = (b.size, theta_ax.size, eta_ax.size)
+    p = prior.analytic_partials(b[:, None, None], theta_ax[None, :, None], eta_ax[None, None, :])
+    return PriorPartials(*(np.broadcast_to(np.asarray(f, float), shape)
+                           for f in _PARTIAL_VALUES(p)))
 
 
 def _residual_reports(conditions, prior: PriorSpec, grid: GridSpec) -> list[ResidualReport]:
@@ -402,22 +401,23 @@ def _residual_reports(conditions, prior: PriorSpec, grid: GridSpec) -> list[Resi
     point is reported with max_abs_residual nan and the identity fails.
     """
     beta_ax, theta_ax, eta_ax = grid.axes()
-    theta_col, eta_row = theta_ax[:, None], eta_ax[None, :]
-    worst = [-1.0] * len(conditions)
-    worst_point = [None] * len(conditions)
-    for b in beta_ax:
-        partials = _plane_partials(prior, b, theta_ax, eta_ax)
-        # the residuals are plain arithmetic: an overflow or an invalid
-        # operation shows as inf or NaN in the result
+    t, e = theta_ax[None, :, None], eta_ax[None, None, :]
+    planes = max(1, _BLOCK_POINTS // (theta_ax.size * eta_ax.size))
+    worst, worst_point = [-1.0] * len(conditions), [None] * len(conditions)
+    for start in range(0, beta_ax.size, planes):
+        b = beta_ax[start:start + planes]
+        # plain arithmetic: an overflow or invalid operation shows as inf or NaN
         with np.errstate(all="ignore"):
+            partials = _block_partials(prior, b, theta_ax, eta_ax)
             for k, condition in enumerate(conditions):
                 if math.isnan(worst[k]):
                     continue
-                r = np.abs(condition.residual(partials, b, theta_col, eta_row))
-                i, j = np.unravel_index(np.argmax(r), r.shape)
-                if r[i, j] > worst[k] or math.isnan(r[i, j]):
-                    worst[k] = float(r[i, j])
-                    worst_point[k] = (float(b), float(theta_ax[i]), float(eta_ax[j]))
+                r = np.abs(condition.residual(partials, b[:, None, None], t, e))
+                at = np.argmax(r)  # first maximum or first NaN, in row-major order
+                if r.flat[at] > worst[k] or math.isnan(r.flat[at]):
+                    worst[k] = float(r.flat[at])
+                    i, j, m = np.unravel_index(at, r.shape)
+                    worst_point[k] = (float(b[i]), float(theta_ax[j]), float(eta_ax[m]))
     use_analytic = prior.analytic_partials is not None
     return [
         ResidualReport(
@@ -457,8 +457,8 @@ def pde_residual(
 def verify_prior(prior: PriorSpec, grid: GridSpec = DEFAULT_GRID) -> list[ResidualReport]:
     """Residual reports for all matching conditions, in registry order.
 
-    The prior's partials are taken once per grid point and shared by all
-    eleven conditions.
+    The prior's partials are taken once per block of the grid and shared
+    by all eleven conditions.
     """
     return _residual_reports(tuple(CONDITIONS.values()), prior, grid)
 

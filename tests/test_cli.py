@@ -309,13 +309,44 @@ def test_coverage_at_huge_n(capsys, kind):
         ("--grid-theta=0.5:inf:3",),
         ("--grid-beta=-inf:1:3",),
         ("--grid-eta=nan:2:3",),
+        ("--grid-beta=-1e308:1e308:3",),
     ],
 )
 def test_non_finite_grid_bounds_exit_3(capsys, argv):
-    code, out, err = run_cli(capsys, "verify-prior", "matching", *argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "verify-prior", "matching", *argv)
     assert code == 3
     assert out == ""
     assert err.startswith("error:") and "finite" in err
+    assert caught == []
+
+
+# the analytic partials of 1/(theta eta) overflow at theta near 1e-300
+TINY_THETA_CSV = """\
+condition_id,prior,max_abs_residual,worst_beta,worst_theta,worst_eta,pass
+dist_fn_A1_beta,matching,inf,-2.0,1e-300,0.5,false
+dist_fn_A2_beta,matching,0.000000e+00,-2.0,1e-300,0.5,true
+dist_fn_theta,matching,nan,-2.0,1e-300,0.5,false
+dist_fn_eta_main,matching,inf,-2.0,1e-300,0.5,false
+dist_fn_eta_aux,matching,1.115263e+284,-2.0,1e-300,3.0,false
+hpd_beta_pde,matching,inf,-2.0,1e-300,0.5,false
+hpd_theta_pde,matching,nan,-2.0,1e-300,0.5,false
+hpd_eta_pde,matching,inf,-2.0,1e-300,0.5,false
+lr_beta_pde,matching,inf,-2.0,1e-300,0.5,false
+lr_theta_pde,matching,nan,-2.0,1e-300,0.5,false
+lr_eta_pde,matching,inf,-2.0,1e-300,0.5,false
+"""
+
+
+def test_overflowing_analytic_partials_fail_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "verify-prior", "matching", "--format", "csv", "--grid-theta=1e-300:1e-299:3"
+        )
+    assert (code, err, caught) == (4, "", [])
+    assert out == TINY_THETA_CSV
 
 
 def test_unallocatable_sample_count_exits_3(capsys):

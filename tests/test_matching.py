@@ -5,8 +5,9 @@ import io
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
-from functools import reduce
+from functools import cache, reduce
 from operator import mul
 
 import numpy as np
@@ -132,6 +133,15 @@ def test_grid_spec_validation_and_axes():
     ):
         with pytest.raises(DomainError, match="finite"):
             GridSpec(**bad)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for lo, hi in ((-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))):
+            with pytest.raises(DomainError, match="finite span"):
+                GridSpec(beta=(lo, hi, 3))
+    for count in (9.5, 3.0, "3", True, np.float64(3), None):
+        with pytest.raises(DomainError, match="integer count"):
+            GridSpec(theta=(0.5, 3.0, count))
+    assert list(GridSpec(beta=(-8e307, 8e307, np.int64(3))).axes()[0]) == [-8e307, 0.0, 8e307]
     g = GridSpec(beta=(-1.0, 1.0, 3), theta=(1.0, 2.0, 2), eta=(1.0, 2.0, 2))
     bax, tax, eax = g.axes()
     assert list(bax) == [-1.0, 0.0, 1.0]
@@ -426,17 +436,73 @@ def test_verify_prior_calls_each_route_a_fixed_number_of_times(grid):
     verify_prior(PriorSpec("counted-fd", log_prior), grid)
     assert counts == {"log_prior": 13 * points, "analytic_partials": 0}
     counts["log_prior"] = 0
+    # the whole grid is one block
     verify_prior(PriorSpec("counted", log_prior, analytic_partials), grid)
-    assert counts == {"log_prior": 0, "analytic_partials": points}
+    assert counts == {"log_prior": 0, "analytic_partials": 1}
+
+
+def test_analytic_partials_are_called_once_a_block_on_broadcastable_axes():
+    # 128 x 128 points a plane, so 2^16 points are 4 planes: blocks of 4, 4, 1
+    grid = GridSpec(beta=(-2.0, 2.0, 9), theta=(0.5, 3.0, 128), eta=(0.5, 3.0, 128))
+    shapes = []
+
+    def analytic_partials(b, t, e):
+        shapes.append((b.shape, t.shape, e.shape))
+        return MATCHING_PRIOR.analytic_partials(b, t, e)
+
+    reports = verify_prior(PriorSpec("counted", MATCHING_PRIOR.log_prior, analytic_partials), grid)
+    assert all(r.passed and r.n_points == 9 * 128 * 128 for r in reports)
+    axes = ((1, 128, 1), (1, 1, 128))
+    assert shapes == [((4, 1, 1), *axes), ((4, 1, 1), *axes), ((1, 1, 1), *axes)]
+
+
+@cache
+def _reference_reports(prior, grid):
+    return [reference_pde_residual(c, prior, grid) for c in CONDITIONS.values()]
 
 
 @pytest.mark.parametrize("grid", EQUALITY_GRIDS)
 @pytest.mark.parametrize("prior", [MATCHING_PRIOR, MATCHING_FD, FLAT_PRIOR, FLAT_FD],
                          ids=lambda p: p.name)
 def test_verify_prior_equals_the_per_condition_scalar_loop(prior, grid):
-    expected = [reference_pde_residual(c, prior, grid) for c in CONDITIONS.values()]
+    expected = _reference_reports(prior, grid)
     assert verify_prior(prior, grid) == expected
     assert pde_residual("lr_eta_pde", prior, grid) == expected[-1]
+
+
+@pytest.fixture(params=[1, 2], ids=["one-plane", "two-planes"])
+def small_blocks(request, monkeypatch):
+    """Blocks of one beta plane (a block size below one plane), or of two
+    (a size one point above two planes). Returns a function that sets the
+    size for a grid and gives the list that records each block's planes,
+    and the list it must end up as."""
+    planes = []
+    block_partials = matching._block_partials
+
+    def recorded(prior, b, theta_ax, eta_ax):
+        planes.append(b.size)
+        return block_partials(prior, b, theta_ax, eta_ax)
+
+    monkeypatch.setattr(matching, "_block_partials", recorded)
+    k = request.param
+
+    def use(grid):
+        planes.clear()
+        size = 1 if k == 1 else k * grid.theta[2] * grid.eta[2] + 1
+        monkeypatch.setattr(matching, "_BLOCK_POINTS", size)
+        n = grid.beta[2]
+        return planes, [k] * (n // k) + [n % k] * (n % k > 0)
+
+    return use
+
+
+@pytest.mark.parametrize("grid", EQUALITY_GRIDS)
+@pytest.mark.parametrize("prior", [MATCHING_PRIOR, MATCHING_FD, FLAT_PRIOR, FLAT_FD],
+                         ids=lambda p: p.name)
+def test_verify_prior_equals_the_scalar_loop_in_small_blocks(prior, grid, small_blocks):
+    planes, expected = small_blocks(grid)
+    assert verify_prior(prior, grid) == _reference_reports(prior, grid)
+    assert planes == expected
 
 
 def test_worst_point_ties_go_to_the_first_grid_point():
@@ -447,9 +513,28 @@ def test_worst_point_ties_go_to_the_first_grid_point():
         assert report.worst_point == tuple(float(ax[0]) for ax in grid.axes())
 
 
+NAN_PRIOR = PriorSpec("nan", lambda b, t, e: math.nan)
+
+
+def _nan_above_2_log(b, t, e):
+    return math.nan if t >= 2.0 else -math.log(t * e)
+
+
+def _nan_above_2_partials(b, t, e):
+    p = MATCHING_PRIOR.analytic_partials(b, t, e)
+    return PriorPartials(*(np.where(t >= 2.0, np.nan, getattr(p, name))
+                           for name in PriorPartials.__dataclass_fields__))
+
+
+# NaN for theta >= 2 only, on either route; the first such grid theta is 2.0625
+NAN_ABOVE_2 = (
+    PriorSpec("nan-above-2-fd", _nan_above_2_log),
+    PriorSpec("nan-above-2", _nan_above_2_log, _nan_above_2_partials),
+)
+
+
 def test_nan_prior_fails_every_condition_at_the_first_point():
-    nan_prior = PriorSpec("nan", lambda b, t, e: math.nan)
-    reports = verify_prior(nan_prior)
+    reports = verify_prior(NAN_PRIOR)
     first = (-2.0, 0.5, 0.5)
     for r in reports:
         assert math.isnan(r.max_abs_residual)
@@ -461,14 +546,41 @@ def test_nan_prior_fails_every_condition_at_the_first_point():
 
 
 def test_nan_residual_on_part_of_the_grid_fails_at_its_first_nan_point():
-    # NaN for theta >= 2 only; the first such grid theta is 2.0625
-    def log_prior(b, t, e):
-        return math.nan if t >= 2.0 else -math.log(t * e)
+    for prior in NAN_ABOVE_2:
+        for r in verify_prior(prior):
+            assert math.isnan(r.max_abs_residual)
+            assert not r.passed
+            assert r.worst_point == (-2.0, 2.0625, 0.5)
 
-    for r in verify_prior(PriorSpec("nan-above-2", log_prior)):
-        assert math.isnan(r.max_abs_residual)
-        assert not r.passed
-        assert r.worst_point == (-2.0, 2.0625, 0.5)
+
+def test_ties_and_nans_go_to_the_first_point_in_small_blocks(small_blocks):
+    for grid in EQUALITY_GRIDS:
+        planes, expected = small_blocks(grid)
+        report = pde_residual("hpd_theta_pde", FLAT_PRIOR, grid)
+        assert report.max_abs_residual == 2.0
+        assert report.worst_point == tuple(float(ax[0]) for ax in grid.axes())
+        assert planes == expected
+    firsts = [(NAN_PRIOR, (-2.0, 0.5, 0.5))] + [(p, (-2.0, 2.0625, 0.5)) for p in NAN_ABOVE_2]
+    for prior, first in firsts:
+        planes, expected = small_blocks(DEFAULT_GRID)
+        for r in verify_prior(prior, DEFAULT_GRID):
+            assert math.isnan(r.max_abs_residual)
+            assert r.worst_point == first
+        assert planes == expected and len(planes) > 1
+
+
+def test_verify_prior_holds_one_block_at_a_time():
+    # a million points in blocks of 2^16; one float64 array over the whole
+    # grid would be 8 MiB, and the 4 MiB bound is eight arrays of one block
+    grid = GridSpec(beta=(-2.0, 2.0, 64), theta=(0.5, 3.0, 128), eta=(0.5, 3.0, 128))
+    tracemalloc.start()
+    try:
+        reports = verify_prior(MATCHING_PRIOR, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 8 * 8 * 2**16
 
 
 # the parent table: (label, kind, payload, claim(theta, eta)); kind "cube" is
