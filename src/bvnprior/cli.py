@@ -6,7 +6,7 @@ error, unreadable file or a size too large to allocate, 4 numerical
 failure (including failed verification checks, and float overflow or
 division by zero at extreme parameters).
 All output is deterministic: rerunning a command with the same flags and
-seed produces byte-identical bytes.
+seed produces byte-identical bytes. Coverage seeds must lie in [0, 2**64).
 """
 
 from __future__ import annotations

@@ -16,11 +16,12 @@ run.
 The intervals depend on a dataset only through (S11, S12, S22.1), so the
 cell draws those directly, by Bartlett's decomposition of the Wishart
 scatter matrix: with a ~ chi2(n-1), Z ~ N(0, 1) and c ~ chi2(n-2)
-independent, S11 = sigma1^2 a, S12 = sigma1 sigma2 sqrt(a) (rho sqrt(a) +
-sqrt(1-rho^2) Z) and S22.1 = sigma2^2 (1-rho^2) c, which is their joint
-law for n pairs from the model. The generator yields all replicates' a,
-then all Z, then all c, and replicate j is element j of each, so cost and
-memory grow with the replicate count and not with n.
+independent, S11 = a, S12 = sqrt(a) (rho sqrt(a) + sqrt(1-rho^2) Z) and
+S22.1 = (1-rho^2) c, their joint law for n pairs from the model at unit
+scale; every interval is equivariant under location and scale, so the
+means and standard deviations cannot change a hit. The generator yields
+all replicates' a, then all Z, then all c, and replicate j is element j
+of each, so cost and memory grow with the replicate count and not with n.
 
 Interval construction uses the pivot structure of the posteriors: each
 parameter is location + scale * Z, where pivot() maps every replicate's
@@ -36,16 +37,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BvnPriorError, DegenerateDataError, DomainError
-from .interval import KINDS, standard_bounds
+from .interval import _check_kind, standard_bounds
 # sample and sufficient_stats are not called here; they stay bound in
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
 from .model import OriginalParams, sample, sufficient_stats, to_orthogonal  # noqa: F401
+from .numerics import _check_count, _check_level
 from .posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 __all__ = [
@@ -75,7 +77,6 @@ _MASK64 = (1 << 64) - 1
 
 def _splitmix64(z: int) -> int:
     """One step of the splitmix64 finalizer (64-bit avalanche mix)."""
-    z &= _MASK64
     z = (z + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -91,9 +92,8 @@ def _cell_seed(seed: int, cell_index: int) -> int:
 class CoverageCellSpec:
     """One simulation cell: a (rho, n) pair plus run settings.
 
-    Only the standard deviations of params_base matter: the statistics
-    are drawn directly and the means do not enter them. Its correlation
-    field is ignored in favor of rho.
+    n, replicates and seed are stored as Python ints; the seed must lie
+    in [0, 2**64), the domain of the splitmix64 chain.
     """
 
     rho: float
@@ -102,19 +102,15 @@ class CoverageCellSpec:
     replicates: int = 5000
     kind: str = "hpd"
     seed: int = DEFAULT_SEED
-    params_base: OriginalParams = OriginalParams(0.0, 0.0, 1.0, 1.0, 0.0)
 
     def __post_init__(self):
         if not abs(self.rho) < 1.0:
             raise DomainError("|rho| must be < 1")
-        if self.n < 4:
-            raise DomainError("coverage cells need n >= 4")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError("level must lie strictly between 0 and 1")
-        if self.replicates < 100:
-            raise DomainError("coverage needs at least 100 replicates")
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown interval kind {self.kind!r}")
+        for name, minimum, below in (("n", 4, math.inf), ("replicates", 100, math.inf),
+                                     ("seed", 0, 1 << 64)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), name, minimum, below))
+        _check_level(self.level)
+        _check_kind(self.kind)
 
 
 @dataclass(frozen=True)
@@ -204,17 +200,14 @@ class CoverageReport:
         return "\n".join(lines) + "\n"
 
 
-def _draw_stats(base: OriginalParams, n: int, replicates: int, rng):
-    """(s11, s12, s22_1) of `replicates` datasets of n pairs, by Bartlett."""
+def _draw_stats(rho: float, n: int, replicates: int, rng):
+    """(s11, s12, s22_1) of `replicates` datasets of n unit-scale pairs, by Bartlett."""
     a = rng.chisquare(n - 1, replicates)
     z = rng.standard_normal(replicates)
     c = rng.chisquare(n - 2, replicates)
-    root = math.sqrt(1.0 - base.rho * base.rho)
-    s11 = base.sigma1 ** 2 * a
+    root = math.sqrt(1.0 - rho * rho)
     root_a = np.sqrt(a)
-    s12 = base.sigma1 * base.sigma2 * root_a * (base.rho * root_a + root * z)
-    s22_1 = (base.sigma2 * root) ** 2 * c
-    return s11, s12, s22_1
+    return a, root_a * (rho * root_a + root * z), root ** 2 * c
 
 
 def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
@@ -224,11 +217,9 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     as failures and excluded from the denominator. The interval bounds
     come from interval.standard_bounds, once per (family, n, level, kind).
     """
-    base = replace(spec.params_base, rho=spec.rho)
-    truth = to_orthogonal(base)
-
+    truth = to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho))
     rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
-    s11, s12, s22_1 = _draw_stats(base, spec.n, spec.replicates, rng)
+    s11, s12, s22_1 = _draw_stats(spec.rho, spec.n, spec.replicates, rng)
     ok = (s11 > 0.0) & (s22_1 > 0.0)
     s11, s12, s22_1 = s11[ok], s12[ok], s22_1[ok]
     used = s11.size
@@ -290,7 +281,6 @@ def run_table(
     replicates: int = 5000,
     kind: str = "hpd",
     seed: int = DEFAULT_SEED,
-    params_base: OriginalParams = OriginalParams(0.0, 0.0, 1.0, 1.0, 0.0),
     workers: int = 1,
 ) -> CoverageReport:
     """Run the full (rho, n) grid, ordered rho ascending then n ascending.
@@ -301,23 +291,15 @@ def run_table(
     cell are captured in its CellResult and never abort the others.
     """
     rhos = sorted(set(float(x) for x in rhos))
-    ns = sorted(set(int(x) for x in ns))
+    ns = sorted(set(_check_count(x, "n", 4) for x in ns))
     if not rhos or not ns:
         raise DomainError("rhos and ns must be non-empty")
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
-    tasks = []
-    for i, (rho, n) in enumerate((rho, n) for rho in rhos for n in ns):
-        spec = CoverageCellSpec(
-            rho=rho,
-            n=n,
-            level=level,
-            replicates=replicates,
-            kind=kind,
-            seed=seed,
-            params_base=params_base,
-        )
-        tasks.append((spec, i))
+    workers = _check_count(workers, "workers", 1)
+    tasks = [
+        (CoverageCellSpec(rho=rho, n=n, level=level, replicates=replicates, kind=kind,
+                          seed=seed), i)
+        for i, (rho, n) in enumerate((rho, n) for rho in rhos for n in ns)
+    ]
     workers = min(workers, len(tasks))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -326,8 +308,9 @@ def run_table(
     else:
         indexed = [_cell_task(t) for t in tasks]
     cells = tuple(result for _, result in sorted(indexed, key=lambda pair: pair[0]))
+    spec = tasks[0][0]  # holds seed and replicates as checked Python ints
     return CoverageReport(
-        seed=seed, level=level, kind=kind, replicates=replicates, cells=cells
+        seed=spec.seed, level=level, kind=kind, replicates=spec.replicates, cells=cells
     )
 
 

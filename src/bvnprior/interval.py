@@ -63,10 +63,8 @@ class CredibleInterval:
     achieved_mass: float
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DomainError(f"unknown interval kind {self.kind!r}")
-        if not 0.0 < self.level < 1.0:
-            raise DomainError("level must lie strictly between 0 and 1")
+        _check_kind(self.kind)
+        numerics._check_level(self.level)
         if not self.lo < self.hi:
             raise DomainError("interval requires lo < hi")
 
@@ -93,11 +91,9 @@ class CredibleInterval:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-def _check_level(level: float):
-    if not 0.0 < level < 1.0:
-        raise DomainError("level must lie strictly between 0 and 1")
-    if 1.0 - level == 1.0:
-        raise DomainError(f"level {level!r} is too small: 1 - level rounds to 1")
+def _check_kind(kind: str):
+    if kind not in KINDS:
+        raise DomainError(f"unknown interval kind {kind!r}")
 
 
 def _solve_hpd(family: StandardFamily, n: int, alpha: float) -> float:
@@ -135,16 +131,15 @@ def standard_bounds(family: StandardFamily, n: int, level: float, kind: str):
     hpd_unimodal handles monotone densities before asking. Memoized: the
     result depends only on the arguments.
     """
-    _check_level(level)
+    _check_kind(kind)
+    numerics._check_level(level)
     alpha = 1.0 - level
     tails = {"equal_tailed": alpha / 2.0, "upper_one_sided": 0.0, "lower_one_sided": alpha}
     with np.errstate(divide="ignore"):
         if kind == "hpd":
             p = alpha / 2.0 if family.symmetric else _solve_hpd(family, n, alpha)
-        elif kind in tails:
-            p = tails[kind]
         else:
-            raise DomainError(f"unknown interval kind {kind!r}")
+            p = tails[kind]
         return float(family.quantile(n, p)), float(family.isf(n, alpha - p))
 
 
@@ -170,7 +165,7 @@ def hpd_unimodal(dist: PosteriorDistribution, level: float) -> CredibleInterval:
     n = 3 precision posterior) the HPD region is one-sided; the upper
     one-sided interval is returned with a RuntimeWarning, on every call.
     """
-    _check_level(level)
+    numerics._check_level(level)
     family = dist.family
     if family.mode(dist.stats.n) <= family.lower:
         warnings.warn(

@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .numerics import _check_count
 # log_density_partial and sample are not called here; they stay bound in this
 # namespace because the benchmark's span recorder wraps them as matching attributes
 from .model import (
@@ -139,7 +140,7 @@ FLAT_PRIOR = PriorSpec("flat", _flat_log, _flat_partials)
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Evaluation box: per-axis (lo, hi, count) for beta, theta, eta."""
+    """Evaluation box: per-axis (lo, hi, count) for beta, theta, eta; count is an int >= 2."""
 
     beta: tuple[float, float, int] = (-2.0, 2.0, 9)
     theta: tuple[float, float, int] = (0.5, 3.0, 9)
@@ -148,11 +149,10 @@ class GridSpec:
     def __post_init__(self):
         for name in ("beta", "theta", "eta"):
             lo, hi, count = getattr(self, name)
-            if not math.isfinite(float(hi) - float(lo)):  # so are both bounds
-                raise DomainError(f"grid axis {name} needs finite bounds and a finite span")
-            integer = isinstance(count, (int, np.integer)) and not isinstance(count, bool)
-            if not (integer and count >= 2 and lo < hi):
-                raise DomainError(f"grid axis {name} needs lo < hi and an integer count >= 2")
+            # a finite span makes both bounds finite
+            if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
+                raise DomainError(f"grid axis {name} needs finite bounds lo < hi and a finite span")
+            object.__setattr__(self, name, (lo, hi, _check_count(count, f"grid {name} count", 2)))
         if self.theta[0] <= 0.0 or self.eta[0] <= 0.0:
             raise DomainError("theta and eta grid must stay positive")
 
@@ -512,13 +512,12 @@ def verify_score_moments(
     shared by all identities, so a check passes when
     |estimate - claim| <= 4 * stderr; an identically zero integrand gives
     estimate 0 with stderr 0. n_samples must be an integer >= 100000 and
-    seed non-negative (else DomainError). A claimed value that is not a
+    seed an integer >= 0 (else DomainError). A claimed value that is not a
     finite float at (theta, eta) raises NumericalError before any sampling;
     a floating-point overflow, division by zero or invalid operation in the
     integrands raises FloatingPointError.
     """
-    if not isinstance(n_samples, (int, np.integer)) or n_samples < 100_000:
-        raise DomainError("verify_score_moments needs an integer n_samples >= 100000")
+    n_samples = _check_count(n_samples, "n_samples", 100_000)
     t, e = params.theta, params.eta
     claims = []
     for label, _, claim in _MOMENTS:
@@ -536,24 +535,29 @@ def verify_score_moments(
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         powers = _draw_residual_powers(params, n_samples, seed)
         # every integrand is built in a and b, with the operations of
-        # _partial and reduce(mul) in their order, so it rounds as theirs do
+        # _partial and reduce(mul) in their order, so it rounds as theirs do.
+        # A factor of beta order 0 and eta order < 2 writes its v^2 term to a
+        # scratch. A pair puts such a factor first, with b as scratch (x * y
+        # is y * x); if both are such, the second borrows uv's row. Neither
+        # then reads uv, so integrands whose last factor is such run last
         a, b = np.empty(n_samples), np.empty(n_samples)
-        checks = []
-        for (label, (first, *rest), _), claimed in zip(_MOMENTS, claims):
+        needs_scratch = {f: f[0] == 0 and f[2] < 2 for _, fs, _ in _MOMENTS for f in fs}
+        factors = [sorted(f, key=needs_scratch.get, reverse=True) for _, f, _ in _MOMENTS]
+        checks = [None] * len(factors)
+        for k in sorted(range(len(factors)), key=lambda k: needs_scratch[factors[k][-1]]):
+            first, *rest = factors[k]
             vals = _partial(powers, t, e, first, out=a, scratch=b)
             if rest == [first, first]:  # a cube, (P * P) * P
                 vals = np.multiply(a, a, out=b)
                 vals *= a
             elif rest:
-                # only the pure theta/eta pair needs a scratch here; every
-                # integrand that reads uv comes before it, so uv's row serves
                 vals *= _partial(powers, t, e, rest[0], out=b, scratch=powers[1])
             estimate = float(np.mean(vals))
             # np.std's sum of squares without its copy: vals is not used again
             vals -= estimate
             stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
-            passed = abs(estimate - claimed) <= 4.0 * stderr
-            checks.append(ExpectationCheck(label, claimed, estimate, stderr, n_samples, passed))
+            passed = abs(estimate - claims[k]) <= 4.0 * stderr
+            checks[k] = ExpectationCheck(_MOMENTS[k][0], claims[k], estimate, stderr, n_samples, passed)
     return checks
 
 

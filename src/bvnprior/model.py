@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateDataError, DomainError
-from .numerics import _result
+from .numerics import _check_count, _result
 
 __all__ = [
     "OriginalParams",
@@ -231,8 +231,7 @@ def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
 
 def _normals(n: int, seed: int) -> np.ndarray:
     """The (n, 2) standard normals of seed that sample and _draw_residual_powers scale."""
-    if seed < 0:
-        raise DomainError("seed must be non-negative")
+    n, seed = _check_count(n, "n", 1), _check_count(seed, "seed", 0)
     return np.random.default_rng(seed).standard_normal((n, 2))
 
 
@@ -241,10 +240,8 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
 
     Construction: Z1, Z2 iid standard normal,
     X1 = mu1 + sigma1 Z1, X2 = mu2 + sigma2 (rho Z1 + sqrt(1-rho^2) Z2).
-    Returns an (n, 2) array.
+    Returns an (n, 2) array; n >= 1 and seed >= 0 are integers (else DomainError).
     """
-    if n < 1:
-        raise DomainError("sample requires n >= 1")
     z1, z2 = _normals(n, seed).T
     x1 = p.mu1 + p.sigma1 * z1
     x2 = p.mu2 + p.sigma2 * (p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)

@@ -17,6 +17,10 @@ Arguments broadcast as numpy arrays, and the result is a float exactly
 when every argument is 0-d (a Python or numpy scalar, or a 0-d array),
 an array otherwise. The posteriors and model densities follow the same
 return rule.
+
+Two scalar rules serve the whole package: a level lies in (0, 1) with
+1 - level not rounding to 1 (_check_level); a count or seed is an int or
+numpy integer, not a bool, in a stated range (_check_count).
 """
 
 from __future__ import annotations
@@ -86,6 +90,23 @@ def _check_prob(x, name="p"):
     if not ((x >= 0.0) & (x <= 1.0)).all():
         raise DomainError(f"{name} must lie in [0, 1]")
     return x
+
+
+def _check_level(level):
+    """A credibility level must lie in (0, 1) with 1 - level not rounding to 1."""
+    if not 0.0 < level < 1.0:
+        raise DomainError("level must lie strictly between 0 and 1")
+    if 1.0 - level == 1.0:
+        raise DomainError(f"level {level!r} is too small: 1 - level rounds to 1")
+
+
+def _check_count(value, name, minimum, below=math.inf):
+    """value as a Python int; an int or numpy integer, not a bool, in [minimum, below)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and minimum <= int(value) < below):
+        bound = "" if below == math.inf else f" and < {below}"
+        raise DomainError(f"{name} must be an integer >= {minimum}{bound}")
+    return int(value)
 
 
 def _result(out, *args):

@@ -192,13 +192,13 @@ def _theta_and_precision_swapped(monkeypatch):
 
 
 def _residual_chi2_with_n_minus_1_df(monkeypatch):
-    # S22.1 ~ sigma2^2 (1 - rho^2) chi2(n-1), the law without the fitted
-    # slope: the correct chi2(n-2) draw plus an independent chi2(1)
+    # S22.1 ~ (1 - rho^2) chi2(n-1), the law without the fitted slope: the
+    # correct chi2(n-2) draw plus an independent chi2(1)
     draw = coverage._draw_stats
 
-    def mutant(base, n, replicates, rng):
-        s11, s12, s22_1 = draw(base, n, replicates, rng)
-        extra = base.sigma2**2 * (1.0 - base.rho**2) * rng.standard_normal(replicates) ** 2
+    def mutant(rho, n, replicates, rng):
+        s11, s12, s22_1 = draw(rho, n, replicates, rng)
+        extra = (1.0 - rho**2) * rng.standard_normal(replicates) ** 2
         return s11, s12, s22_1 + extra
 
     monkeypatch.setattr(coverage, "_draw_stats", mutant)

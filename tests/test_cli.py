@@ -284,6 +284,36 @@ def test_level_below_resolution_exits_3(dataset, capsys, param, level):
     assert caught == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # every cell used to fail inside the interval solver: a header-only
+        # CSV, nothing on stderr, exit 4
+        ("coverage", "--level", "1e-17", "--ns", "4", "--rhos", "0.5", "--replicates", "100"),
+        ("coverage", "--level", "1.0", "--replicates", "100"),
+        # outside [0, 2**64) seeds used to alias onto others
+        ("coverage", "--seed", "18446744073709551616", "--replicates", "100"),
+        ("coverage", "--seed", "-1", "--replicates", "100"),
+        ("coverage", "--replicates", "99"),
+        ("coverage", "--ns", "3,8", "--replicates", "100"),
+        ("sample", "--n", "0"),
+        ("sample", "--n", "5", "--seed", "-1"),
+        ("verify-lemma", "--samples", "99999"),
+        ("verify-lemma", "--samples", "100000", "--seed", "-1"),
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_bad_counts_seeds_and_levels_exit_3_with_one_error_line(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    assert "Traceback" not in err
+    assert caught == []
+
+
 @pytest.mark.parametrize("kind", ["equal_tailed", "hpd"])
 def test_coverage_at_huge_n(capsys, kind):
     # the statistics are drawn directly, so n = 1e9 costs what n = 4 does

@@ -25,8 +25,15 @@ from bvnprior.coverage import (
 import bvnprior.coverage as coverage
 import bvnprior.interval as interval
 from bvnprior.errors import DomainError
-from bvnprior.interval import standard_bounds
-from bvnprior.model import OriginalParams, sample, sufficient_stats, to_orthogonal
+from bvnprior.interval import CredibleInterval, standard_bounds
+from bvnprior.matching import verify_score_moments
+from bvnprior.model import (
+    OriginalParams,
+    OrthogonalParams,
+    sample,
+    sufficient_stats,
+    to_orthogonal,
+)
 from bvnprior.numerics import reg_inc_beta, reg_inc_gamma_c, student_t_cdf
 from bvnprior.posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
@@ -81,6 +88,77 @@ def test_cell_spec_validation():
         CoverageCellSpec(rho=0.5, n=8, kind="central")
 
 
+UNIT = OriginalParams(0.0, 0.0, 1.0, 1.0, 0.3)
+POINT = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
+
+
+# every count, size and seed goes through one integer rule and every level
+# through one level rule, whichever entry point it comes in by
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CoverageCellSpec(rho=0.5, n=4.5),
+        lambda: CoverageCellSpec(rho=0.5, n=8, replicates=100.0),
+        lambda: CoverageCellSpec(rho=0.5, n=8, seed=2**64),
+        lambda: CoverageCellSpec(rho=0.5, n=8, seed=-1),
+        lambda: CoverageCellSpec(rho=0.5, n=8, seed=1.0),
+        lambda: CoverageCellSpec(rho=0.5, n=8, seed=True),
+        lambda: CoverageCellSpec(rho=0.5, n=8, level=1e-17),
+        lambda: run_table(ns=(4.7,), replicates=100),
+        lambda: run_table(replicates=100.0),
+        lambda: run_table(replicates=100, workers=2.0),
+        lambda: run_table(replicates=100, workers=True),
+        lambda: run_table(replicates=100, seed=2**64),
+        lambda: run_table(replicates=100, level=1e-17),
+        lambda: sample(UNIT, 5.0, 0),
+        lambda: sample(UNIT, True, 0),
+        lambda: sample(UNIT, 5, 1.5),
+        lambda: sample(UNIT, 5, True),
+        lambda: verify_score_moments(POINT, 100_000, seed=1.5),
+        lambda: CredibleInterval("beta", "hpd", 1e-17, 0.0, 1.0, 0.5),
+        lambda: standard_bounds(BetaPosterior.family, 8, 1e-17, "equal_tailed"),
+        lambda: standard_bounds(BetaPosterior.family, 8, 0.95, "central"),
+    ],
+    ids=[
+        "cell_n_float", "cell_replicates_float", "cell_seed_2**64", "cell_seed_negative",
+        "cell_seed_float", "cell_seed_bool", "cell_level_tiny", "table_ns_float",
+        "table_replicates_float", "table_workers_float", "table_workers_bool",
+        "table_seed_2**64", "table_level_tiny", "sample_n_float", "sample_n_bool",
+        "sample_seed_float", "sample_seed_bool", "moments_seed_float", "interval_level_tiny",
+        "bounds_level_tiny", "bounds_kind",
+    ],
+)
+def test_bad_counts_seeds_levels_and_kinds_are_domain_errors(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32, np.uint8])
+def test_numpy_integers_act_as_the_equal_python_int(integer, recwarn):
+    # np.int64 seeds overflowed the 64-bit mask and np.uint64 ones warned
+    # inside splitmix64; every count is taken as a Python int
+    grid = dict(rhos=(0.5,), level=0.9)
+    ref = run_table(ns=(4, 8), replicates=100, seed=3, workers=1, **grid)
+    got = run_table(
+        ns=(integer(4), integer(8)), replicates=integer(100), seed=integer(3),
+        workers=integer(1), **grid,
+    )
+    assert (got.to_csv(), got.to_markdown()) == (ref.to_csv(), ref.to_markdown())
+    assert all(type(v) is int for v in (got.seed, got.replicates, got.cells[1].n))
+    spec = CoverageCellSpec(rho=0.5, n=integer(8), replicates=integer(100), seed=integer(3))
+    assert spec == CoverageCellSpec(rho=0.5, n=8, replicates=100, seed=3)
+    assert np.array_equal(sample(UNIT, integer(5), integer(7)), sample(UNIT, 5, 7))
+    assert recwarn.list == []
+
+
+def test_seeds_at_the_ends_of_the_splitmix_domain_run():
+    # [0, 2**64) is the whole domain of the seed chain; outside it seeds
+    # used to alias (2**64 gave the seed-0 table, -1 the 2**64 - 1 table)
+    low, high = (run_table(rhos=(0.5,), ns=(4,), replicates=100, seed=s) for s in (0, 2**64 - 1))
+    assert low.all_ok and high.all_ok
+    assert low.to_csv() != high.to_csv()
+
+
 def test_run_cell_estimates_near_nominal():
     spec = CoverageCellSpec(rho=0.5, n=8, level=0.95, replicates=2000, seed=17)
     cell = run_cell(spec, cell_index=5)
@@ -102,21 +180,27 @@ def test_run_cell_is_deterministic_and_index_sensitive():
     assert a.coverage != other.coverage
 
 
-def test_coverage_is_invariant_to_generating_scales():
-    # matching is exact for any means and sds, so moving them leaves each
-    # replicate's hit indicator unchanged (scale equivariance of the pivots)
-    spec1 = CoverageCellSpec(rho=0.5, n=8, replicates=400, seed=23)
-    spec2 = CoverageCellSpec(
-        rho=0.5,
-        n=8,
-        replicates=400,
-        seed=23,
-        params_base=OriginalParams(3.0, -2.0, 2.0, 0.5, 0.0),
-    )
-    a = run_cell(spec1, 0)
-    b = run_cell(spec2, 0)
-    for param in ("beta", "theta", "eta"):
-        assert a.coverage[param] == pytest.approx(b.coverage[param], abs=1e-12)
+@pytest.mark.parametrize("c1, c2", [(4.0, 0.125), (2.5, 0.3), (1e-3, 7e2)])
+def test_hits_are_invariant_to_the_data_scales(c1, c2):
+    # cells draw at unit scale because the pivots are scale-equivariant:
+    # data scaled by (c1, c2) scale (s11, s12, s22_1) by (c1^2, c1 c2, c2^2)
+    # and the truth by sd (c1, c2), and every replicate's hit is unchanged
+    n, level, rho = 8, 0.95, 0.5
+    s11, s12, s22_1 = coverage._draw_stats(rho, n, 400, np.random.default_rng(23))
+    scaled = (c1 * c1 * s11, c1 * c2 * s12, c2 * c2 * s22_1)
+    unit = to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, rho))
+    truth = to_orthogonal(OriginalParams(0.0, 0.0, c1, c2, rho))
+    for posterior in (BetaPosterior, ThetaPosterior, EtaPosterior):
+        param = posterior.param_id
+        for kind in interval.KINDS:
+            lo, hi = standard_bounds(posterior.family, n, level, kind)
+            hits = []
+            for stats_, value in (((s11, s12, s22_1), getattr(unit, param)),
+                                  (scaled, getattr(truth, param))):
+                location, scale = posterior.pivot(n, *stats_)
+                hits.append((value >= location + scale * lo) & (value <= location + scale * hi))
+            assert np.array_equal(hits[0], hits[1]), (param, kind)
+            assert 0 < hits[0].sum() < hits[0].size
 
 
 def test_one_sided_coverage_matches_level():
@@ -305,20 +389,18 @@ def test_repeated_table_reuses_standardized_bounds(monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 20])
 def test_draw_stats_follow_the_exact_laws(n):
-    # Bartlett: S11/sigma1^2 ~ chi2(n-1), S22.1/(sigma2^2 (1-rho^2)) ~ chi2(n-2),
+    # Bartlett at unit scale: S11 ~ chi2(n-1), S22.1/(1-rho^2) ~ chi2(n-2),
     # and the standardized slope error ~ N(0, 1); each statistic also
     # matches sufficient_stats of raw sample() datasets (two-sample KS).
     # Twelve tests over both n, Bonferroni at family alpha 1e-3.
-    replicates, rho, sigma1, sigma2 = 20_000, 0.5, 2.0, 0.5
+    replicates, rho = 20_000, 0.5
     alpha = 1e-3 / 12
-    base = OriginalParams(0.0, 0.0, sigma1, sigma2, rho)
-    beta = rho * sigma2 / sigma1
-    resid_var = sigma2**2 * (1.0 - rho * rho)
-    s11, s12, s22_1 = coverage._draw_stats(
-        base, n, replicates, np.random.default_rng(9000 + n)
-    )
+    base = OriginalParams(0.0, 0.0, 1.0, 1.0, rho)
+    beta = rho
+    resid_var = 1.0 - rho * rho
+    s11, s12, s22_1 = coverage._draw_stats(rho, n, replicates, np.random.default_rng(9000 + n))
     exact = {
-        "s11": stats.kstest(s11 / sigma1**2, stats.chi2(n - 1).cdf).pvalue,
+        "s11": stats.kstest(s11, stats.chi2(n - 1).cdf).pvalue,
         "s22_1": stats.kstest(s22_1 / resid_var, stats.chi2(n - 2).cdf).pvalue,
         "slope": stats.kstest(
             (s12 / s11 - beta) * np.sqrt(s11) / math.sqrt(resid_var), "norm"

@@ -139,7 +139,7 @@ def test_grid_spec_validation_and_axes():
             with pytest.raises(DomainError, match="finite span"):
                 GridSpec(beta=(lo, hi, 3))
     for count in (9.5, 3.0, "3", True, np.float64(3), None):
-        with pytest.raises(DomainError, match="integer count"):
+        with pytest.raises(DomainError, match="count must be an integer"):
             GridSpec(theta=(0.5, 3.0, count))
     assert list(GridSpec(beta=(-8e307, 8e307, np.int64(3))).axes()[0]) == [-8e307, 0.0, 8e307]
     g = GridSpec(beta=(-1.0, 1.0, 3), theta=(1.0, 2.0, 2), eta=(1.0, 2.0, 2))
@@ -192,12 +192,12 @@ def test_score_moments_rejects_tiny_sample():
 
 @pytest.mark.parametrize("n_samples", [1e5, 100_000.0, "100000", None])
 def test_score_moments_rejects_a_non_integer_sample_size(n_samples):
-    with pytest.raises(DomainError, match="integer n_samples"):
+    with pytest.raises(DomainError, match="n_samples must be an integer"):
         verify_score_moments(POINT, n_samples, seed=0)
 
 
 def test_score_moments_rejects_a_negative_seed():
-    with pytest.raises(DomainError, match="seed must be non-negative"):
+    with pytest.raises(DomainError, match="seed must be an integer >= 0"):
         verify_score_moments(POINT, 100_000, seed=-1)
 
 
@@ -228,10 +228,10 @@ def test_drawn_residual_powers_equal_the_sampled_ones(params, seed):
     assert np.all(error <= 1e-12 * np.abs(via_sample).max(axis=1))
 
 
-def reference_integrand_moments(powers, theta, eta, n_samples):
-    """(estimate, stderr) per _MOMENTS entry: a new array per partial and product."""
+def reference_integrand_moments(powers, theta, eta, n_samples, moments=_MOMENTS):
+    """(estimate, stderr) per moments entry: a new array per partial and product."""
     out = []
-    for _, factors, _ in _MOMENTS:
+    for _, factors, _ in moments:
         partials = {f: _partial(powers, theta, eta, f) for f in factors}
         vals = reduce(mul, (partials[f] for f in factors))
         estimate = float(np.mean(vals))
@@ -256,6 +256,53 @@ def test_buffered_integrands_equal_the_partial_product_loop(params, seed, monkey
     assert [c.passed for c in checks] == [
         abs(estimate - c.claimed) <= 4.0 * stderr for c, (estimate, stderr) in zip(checks, expected)
     ]
+
+
+def _theta_pair_first(moments):
+    pair = next(m for m in moments if m[0] == "E[(dl/dtheta)(d2l/dtheta2)]")
+    return (pair,) + tuple(m for m in moments if m is not pair)
+
+
+def _pairs_reversed(moments):
+    return tuple((label, factors[::-1], claim) for label, factors, claim in moments)
+
+
+@pytest.mark.parametrize("permute", [lambda m: m[::-1], _theta_pair_first, _pairs_reversed],
+                         ids=["reversed", "theta_pair_first", "pairs_reversed"])
+def test_score_moments_do_not_depend_on_the_table_order(permute, monkeypatch):
+    # the pure theta pair borrows the uv row as scratch; moved first, it
+    # used to hand garbage to four beta identities that read uv after it
+    point = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
+    expected = {c.label: (c.estimate, c.stderr, c.passed)
+                for c in verify_score_moments(point, 100_000, seed=5)}
+    permuted = permute(_MOMENTS)
+    assert permuted != _MOMENTS
+    monkeypatch.setattr(matching, "_MOMENTS", permuted)
+    checks = verify_score_moments(point, 100_000, seed=5)
+    assert [c.label for c in checks] == [m[0] for m in permuted]
+    assert {c.label: (c.estimate, c.stderr, c.passed) for c in checks} == expected
+    assert all(c.passed for c in checks)
+
+
+def test_pairs_whose_second_factor_needs_a_scratch_equal_the_reference(monkeypatch):
+    # cross pairs that read uv in one factor and need a v^2 scratch in the
+    # other, in both factor orders, placed after the pure theta pair
+    zero = lambda t, e: 0.0  # noqa: E731
+    cross = tuple(
+        (f"cross {k}", factors, zero)
+        for k, factors in enumerate([
+            ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)),
+            ((2, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 1, 0)),
+        ])
+    )
+    moments = _theta_pair_first(_MOMENTS)[:1] + cross + _theta_pair_first(_MOMENTS)[1:]
+    point = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
+    powers = _draw_residual_powers(point, 100_000, 6)
+    expected = reference_integrand_moments(powers, point.theta, point.eta, 100_000, moments)
+    monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: powers.copy())
+    monkeypatch.setattr(matching, "_MOMENTS", moments)
+    checks = verify_score_moments(point, 100_000, seed=6)
+    assert [(c.estimate, c.stderr) for c in checks] == expected
 
 
 def test_score_moments_hold_at_most_six_sample_length_arrays():
