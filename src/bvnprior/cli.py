@@ -40,6 +40,7 @@ from .matching import (
 from .model import (
     OriginalParams,
     OrthogonalParams,
+    _write_in_place,
     read_dataset,
     sample,
     sufficient_stats,
@@ -97,11 +98,7 @@ def _add_model_flags(sub, rho_default=0.0):
 
 
 def _write_text(path, text: str):
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+    _write_in_place(sys.stdout if path is None else path, (text,))
 
 
 def _read_stats(path):

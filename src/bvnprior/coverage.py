@@ -85,7 +85,18 @@ def _splitmix64(z: int) -> int:
 
 def _cell_seed(seed: int, cell_index: int) -> int:
     """Counter-based seed of one cell's generator; fixed across worker layouts."""
-    return _splitmix64(_splitmix64(seed) ^ (cell_index & _MASK64))
+    return _splitmix64(_splitmix64(seed) ^ cell_index)
+
+
+def _check_rho(rho) -> float:
+    """rho as a float; it must convert to one, and |rho| < 1 (NaN fails)."""
+    try:
+        rho = float(rho)
+    except (TypeError, ValueError):
+        raise DomainError(f"rho must be a number, got {rho!r}") from None
+    if not abs(rho) < 1.0:
+        raise DomainError("|rho| must be < 1")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -104,8 +115,7 @@ class CoverageCellSpec:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        if not abs(self.rho) < 1.0:
-            raise DomainError("|rho| must be < 1")
+        object.__setattr__(self, "rho", _check_rho(self.rho))
         for name, minimum, below in (("n", 4, math.inf), ("replicates", 100, math.inf),
                                      ("seed", 0, 1 << 64)):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, minimum, below))
@@ -217,6 +227,7 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
     as failures and excluded from the denominator. The interval bounds
     come from interval.standard_bounds, once per (family, n, level, kind).
     """
+    cell_index = _check_count(cell_index, "cell_index", 0, 1 << 64)
     truth = to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho))
     rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
     s11, s12, s22_1 = _draw_stats(spec.rho, spec.n, spec.replicates, rng)
@@ -290,7 +301,7 @@ def run_table(
     count. At most one worker process per cell is started. Errors in one
     cell are captured in its CellResult and never abort the others.
     """
-    rhos = sorted(set(float(x) for x in rhos))
+    rhos = sorted(set(_check_rho(x) for x in rhos))
     ns = sorted(set(_check_count(x, "n", 4) for x in ns))
     if not rhos or not ns:
         raise DomainError("rhos and ns must be non-empty")

@@ -477,7 +477,8 @@ class ExpectationCheck:
 
 # Each entry: (label, factors, claim(theta, eta)). factors lists the
 # (beta, theta, eta) derivative orders of the log-density partials whose
-# product is the integrand.
+# product is the integrand: one partial, a pair, or the cube of one
+# (verify_score_moments builds no other product and raises on one).
 _MOMENTS = (
     ("E[(dl/dbeta)^3]", ((1, 0, 0),) * 3, lambda t, e: 0.0),
     ("E[(dl/dbeta)(d2l/dbeta2)]", ((1, 0, 0), (2, 0, 0)), lambda t, e: 0.0),
@@ -513,14 +514,21 @@ def verify_score_moments(
     |estimate - claim| <= 4 * stderr; an identically zero integrand gives
     estimate 0 with stderr 0. n_samples must be an integer >= 100000 and
     seed an integer >= 0 (else DomainError). A claimed value that is not a
-    finite float at (theta, eta) raises NumericalError before any sampling;
-    a floating-point overflow, division by zero or invalid operation in the
-    integrands raises FloatingPointError.
+    finite float at (theta, eta) raises NumericalError, and an entry of
+    _MOMENTS that is not one partial, a pair or a cube raises
+    NotImplementedError, both before any sampling; a floating-point
+    overflow, division by zero or invalid operation in the integrands
+    raises FloatingPointError.
     """
     n_samples = _check_count(n_samples, "n_samples", 100_000)
     t, e = params.theta, params.eta
     claims = []
-    for label, _, claim in _MOMENTS:
+    for label, factors, claim in _MOMENTS:
+        if not (len(factors) in (1, 2) or len(factors) == 3 and len(set(factors)) == 1):
+            raise NotImplementedError(
+                f"{label}: an integrand must be one partial, a pair or a cube, "
+                f"got {len(factors)} factors"
+            )
         try:
             claimed = claim(t, e)
         except ArithmeticError:  # Python floats raise on some overflows

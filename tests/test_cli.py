@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -429,15 +430,141 @@ def test_verify_lemma_rejects_an_unrepresentable_claim_before_sampling(capsys, m
     )
 
 
-def test_output_flag_writes_files(tmp_path, dataset, capsys):
-    out_path = tmp_path / "interval.json"
-    code = main(
-        ["interval", "--input", str(dataset), "--param", "theta",
-         "--output", str(out_path)]
-    )
+# a quick call of every subcommand that takes --output
+OUTPUT_ARGVS = {
+    "sample": ("sample", "--n", "7", "--seed", "5"),
+    "stats": ("stats", "--input", "{data}"),
+    "posterior": ("posterior", "--input", "{data}", "--param", "eta"),
+    "interval": ("interval", "--input", "{data}", "--param", "theta"),
+    "coverage": ("coverage", "--rhos", "0.5", "--ns", "4", "--replicates", "100", "--seed", "3"),
+    "verify-lemma": ("verify-lemma", "--samples", "100000", "--format", "csv"),
+    "verify-prior": ("verify-prior", "--grid-beta=-1:1:3", "--grid-theta", "0.8:2:3",
+                     "--grid-eta", "0.8:2:3"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_ARGVS))
+def test_output_flag_writes_files(tmp_path, dataset, capsys, command):
+    argv = [arg.format(data=dataset) for arg in OUTPUT_ARGVS[command]]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    # over a longer file: cut to the output, same inode and mode
+    target = tmp_path / "existing"
+    target.write_bytes(b"stale line\n" * (len(out) // 5 + 10))
+    target.chmod(0o640)
+    before = target.stat()
+    assert run_cli(capsys, *argv, "--output", str(target)) == (0, "", "")
+    after = target.stat()
+    assert target.read_bytes() == out.encode("utf-8")
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    # a new file gets the mode that open(path, "w") gives
+    fresh, reference = tmp_path / "fresh", tmp_path / "reference"
+    reference.write_text("")
+    assert run_cli(capsys, *argv, "--output", str(fresh)) == (0, "", "")
+    assert fresh.read_bytes() == out.encode("utf-8")
+    assert fresh.stat().st_mode == reference.stat().st_mode
+
+
+def test_output_through_a_symlink_writes_its_target(tmp_path, dataset, capsys):
+    argv = ("interval", "--input", str(dataset), "--param", "beta")
+    _, out, _ = run_cli(capsys, *argv)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("x" * 4096)
+    link.symlink_to(target)
+    assert run_cli(capsys, *argv, "--output", str(link)) == (0, "", "")
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == out
+
+
+def test_output_to_the_null_device_exits_zero(dataset, capsys):
+    argv = ("posterior", "--input", str(dataset), "--param", "w", "--output", os.devnull)
+    assert run_cli(capsys, *argv) == (0, "", "")
+
+
+def _failing_after_one_chunk(chunk, real_write=os.write):
+    """An os.write that writes the first chunk bytes of its first call, then raises ENOSPC."""
+    calls = []
+
+    def write(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data[:chunk]))
+
+    return write
+
+
+def test_a_failed_write_exits_3_with_the_file_cut_to_the_bytes_written(
+    tmp_path, dataset, capsys, monkeypatch
+):
+    argv = ("interval", "--input", str(dataset), "--param", "eta")
+    _, out, _ = run_cli(capsys, *argv)
+    target = tmp_path / "out.json"
+    target.write_text("y" * 4096)
+    monkeypatch.setattr(os, "write", _failing_after_one_chunk(10))
+    code, stdout, err = run_cli(capsys, *argv, "--output", str(target))
+    monkeypatch.undo()
+    assert (code, stdout) == (3, "")
+    assert err.startswith("error:") and "Traceback" not in err
+    assert target.read_bytes() == out.encode("utf-8")[:10]
+
+
+def test_output_is_opened_without_truncation(tmp_path, dataset, capsys, monkeypatch):
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    target = tmp_path / "out.json"
+    target.write_text("z" * 4096)
+    monkeypatch.setattr(os, "open", recording_open)
+    code = main(["interval", "--input", str(dataset), "--param", "theta",
+                 "--output", str(target)])
+    monkeypatch.undo()
     capsys.readouterr()
     assert code == 0
-    assert json.loads(out_path.read_text())["param"] == "theta"
+    flags = [f for path, f in opened if path == str(target)]
+    assert len(flags) == 1
+    assert flags[0] & os.O_WRONLY and flags[0] & os.O_CREAT
+    assert not flags[0] & os.O_TRUNC
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize(
+    "argv, failing_write, expected",
+    [
+        (("interval", "--input", "{data}", "--param", "theta", "--output", "{out}"), False, 0),
+        (("sample", "--n", "9", "--output", "{out}"), False, 0),
+        (("interval", "--input", "{data}", "--param", "theta", "--output", "{out}"), True, 3),
+        (("sample", "--n", "9", "--output", "{out}"), True, 3),
+        (("stats", "--input", "{missing}", "--output", "{out}"), False, 3),
+        (("stats", "--input", "{data}", "--output", "{tmp}"), False, 3),
+        (("verify-prior", "flat", "--grid-beta=-1:1:3", "--output", "{out}"), False, 4),
+    ],
+    ids=["interval", "sample", "interval_write_fails", "sample_write_fails", "missing_input",
+         "output_is_a_directory", "verify_fails"],
+)
+def test_main_leaves_no_file_descriptor_open(
+    tmp_path, dataset, capsys, monkeypatch, argv, failing_write, expected
+):
+    names = {"data": dataset, "out": tmp_path / "out", "tmp": tmp_path,
+             "missing": tmp_path / "missing.csv"}
+    argv = [arg.format(**names) for arg in argv]
+    main(argv)  # lazy imports and caches settle first
+    before = _open_fds()
+    if failing_write:
+        monkeypatch.setattr(os, "write", _failing_after_one_chunk(7))
+    code = main(argv)
+    monkeypatch.undo()
+    capsys.readouterr()
+    assert code == expected
+    assert _open_fds() == before
 
 
 def test_help_exits_zero(capsys):

@@ -92,8 +92,9 @@ UNIT = OriginalParams(0.0, 0.0, 1.0, 1.0, 0.3)
 POINT = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
 
 
-# every count, size and seed goes through one integer rule and every level
-# through one level rule, whichever entry point it comes in by
+# every count, size, seed and cell index goes through one integer rule, every
+# level through one level rule and every rho through one rho rule, whichever
+# entry point it comes in by
 @pytest.mark.parametrize(
     "call",
     [
@@ -110,6 +111,13 @@ POINT = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
         lambda: run_table(replicates=100, workers=True),
         lambda: run_table(replicates=100, seed=2**64),
         lambda: run_table(replicates=100, level=1e-17),
+        lambda: run_table(rhos=("abc",), replicates=100),
+        lambda: run_table(rhos=(None,), replicates=100),
+        lambda: run_table(rhos=(float("nan"),), replicates=100),
+        lambda: CoverageCellSpec(rho="abc", n=8),
+        lambda: run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=100), 1.5),
+        lambda: run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=100), -1),
+        lambda: run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=100), 2**64),
         lambda: sample(UNIT, 5.0, 0),
         lambda: sample(UNIT, True, 0),
         lambda: sample(UNIT, 5, 1.5),
@@ -123,7 +131,9 @@ POINT = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
         "cell_n_float", "cell_replicates_float", "cell_seed_2**64", "cell_seed_negative",
         "cell_seed_float", "cell_seed_bool", "cell_level_tiny", "table_ns_float",
         "table_replicates_float", "table_workers_float", "table_workers_bool",
-        "table_seed_2**64", "table_level_tiny", "sample_n_float", "sample_n_bool",
+        "table_seed_2**64", "table_level_tiny", "table_rho_text", "table_rho_none",
+        "table_rho_nan", "cell_rho_text", "cell_index_float", "cell_index_negative",
+        "cell_index_2**64", "sample_n_float", "sample_n_bool",
         "sample_seed_float", "sample_seed_bool", "moments_seed_float", "interval_level_tiny",
         "bounds_level_tiny", "bounds_kind",
     ],

@@ -305,6 +305,22 @@ def test_pairs_whose_second_factor_needs_a_scratch_equal_the_reference(monkeypat
     assert [(c.estimate, c.stderr) for c in checks] == expected
 
 
+@pytest.mark.parametrize("factors", [
+    ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+    ((0, 0, 1), (0, 0, 1), (0, 0, 2)),
+    ((0, 1, 0),) * 4,
+], ids=["three_distinct", "pair_times_other", "fourth_power"])
+def test_integrands_beyond_a_pair_or_a_cube_raise_before_sampling(factors, monkeypatch):
+    # the integrand loop builds one partial, a pair or a cube; any other
+    # product must fail, not pass as the moment of its first two factors
+    draws = []
+    monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: draws.append(args))
+    monkeypatch.setattr(matching, "_MOMENTS", _MOMENTS + (("extra", factors, lambda t, e: 0.0),))
+    with pytest.raises(NotImplementedError, match="extra"):
+        verify_score_moments(POINT, 100_000, seed=3)
+    assert draws == []
+
+
 def test_score_moments_hold_at_most_six_sample_length_arrays():
     # the residual powers are three arrays and the integrands are built in
     # two more; drawing through sample and x - mu took eight

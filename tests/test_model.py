@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 from scipy.stats import multivariate_normal
 
+from bvnprior import model
 from bvnprior.errors import DegenerateDataError, DomainError
 from bvnprior.model import (
     OriginalParams,
@@ -188,6 +189,10 @@ def test_log_density_partial_validates_multi_index():
         log_density_partial(POINT, 0.0, 0.0, (1, -1, 1))
     with pytest.raises(DomainError):
         log_density_partial(POINT, 0.0, 0.0, (1, 0))
+    # an order is an integer, never truncated or read from a bool or text
+    for bad in ((1.5, 0, 0), (True, 0, 0), ("1", 0, 0)):
+        with pytest.raises(DomainError):
+            log_density_partial(POINT, 0.0, 0.0, bad)
 
 
 def test_fisher_information_mean_block_matches_curvature():
@@ -324,6 +329,32 @@ def test_dataset_round_trip_through_handles():
     write_dataset(buf, data)
     back = read_dataset(io.StringIO(buf.getvalue()))
     assert np.array_equal(back, data)
+
+
+def _reference_write(handle, data):
+    """The csv.writer loop write_dataset replaced, kept as its byte oracle."""
+    writer = csv.writer(handle, lineterminator="\n")
+    writer.writerow(["x1", "x2"])
+    for row in np.asarray(data, dtype=float):
+        writer.writerow([repr(float(row[0])), repr(float(row[1]))])
+
+
+@pytest.mark.parametrize("rows", [0, 1, 4, 5, 9])
+def test_write_dataset_bytes_equal_the_csv_writer_loop(tmp_path, monkeypatch, rows):
+    # blocks of 4 rows, so that 5 and 9 rows cross block boundaries
+    monkeypatch.setattr(model, "_CSV_ROWS", 4)
+    special = [[-0.0, 1e-300], [5e300, math.nan], [math.inf, -math.inf], [3, 0.1]]
+    data = np.array((special + sample(OriginalParams(1e6, -2.0, 1e-3, 7.0, 0.3), 9, 4).tolist())
+                    [:rows], dtype=float).reshape(rows, 2)
+    expected = io.StringIO(newline="")
+    _reference_write(expected, data)
+    path = tmp_path / "data.csv"
+    path.write_text("stale\n" * 400)
+    write_dataset(path, data)
+    assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    buf = io.StringIO()
+    write_dataset(buf, data)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def test_read_dataset_rejects_bad_header():
