@@ -19,15 +19,19 @@ Two independent kinds of evidence are produced:
   every residual to zero; the flat prior is kept as a built-in
   counterexample.
 
-Each residual is the left side of the corresponding reduced identity,
-expanded by the product rule into the prior value and its first/second
-partials, so both the analytic and the finite-difference route evaluate
-the same linear functional of the prior. The grid is taken in blocks of
-whole beta planes, at most _BLOCK_POINTS points (or one plane) each; a
-block's partials are one PriorPartials of arrays, shared by every
-identity, and each residual is one array pass over the block. Analytic
-partials are one call on broadcastable axes per block, finite differences
-13 log_prior calls per point. A NaN residual anywhere fails its identity.
+Each identity is written once, in CONDITIONS, as the rows of its
+product-rule expansion: (c, i, j, field) stands for the term
+c theta^i eta^j field, with field the prior's value or one of its pure
+first or second partials, and MatchingCondition.residual evaluates every
+identity from its rows. So the analytic and the finite-difference route
+evaluate the same linear functional of the prior, and for a power prior
+theta^a eta^b, residual / pi is a sum of monomials read off the rows. The
+grid is taken in blocks of whole beta planes, at most _BLOCK_POINTS
+points (or one plane) each; a block's partials are one PriorPartials of
+arrays, shared by every identity, and each row is one array pass over
+the block. Analytic partials are one call on broadcastable axes per
+block, finite differences 13 log_prior calls per point. A NaN residual
+anywhere fails its identity.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass, fields
-from operator import attrgetter
+from functools import reduce
+from operator import add, attrgetter, mul
 from typing import Callable
 
 import numpy as np
@@ -167,149 +172,100 @@ class GridSpec:
 DEFAULT_GRID = GridSpec()
 
 
+# how MatchingCondition.description writes each PriorPartials field
+_FIELD_TEXT = {
+    "value": "pi",
+    "d_beta": "dpi/dbeta",
+    "d_theta": "dpi/dtheta",
+    "d_eta": "dpi/deta",
+    "d2_beta": "d2pi/dbeta2",
+    "d2_theta": "d2pi/dtheta2",
+    "d2_eta": "d2pi/deta2",
+}
+
+
 @dataclass(frozen=True)
 class MatchingCondition:
-    """One reduced matching identity, as a functional of prior partials."""
+    """One reduced matching identity, as the rows of its product-rule expansion.
+
+    rows ((c, i, j, field), ...) stand for sum c theta^i eta^j field = 0,
+    with c an integer and field a PriorPartials name: the identity's
+    differential operator applied to the prior, expanded into the prior's
+    value and pure first and second partials.
+    """
 
     id: str
     target: str  # parameter whose region the identity belongs to
     region: str  # "distribution_function", "hpd", or "likelihood_ratio"
-    description: str
-    residual: Callable[[PriorPartials, float, float, float], float]
+    rows: tuple[tuple[int, int, int, str], ...]
+
+    @property
+    def description(self) -> str:
+        """The rows as text, e.g. "-2 pi - 2 theta dpi/dtheta - ... = 0"."""
+        terms = []
+        for c, i, j, field in self.rows:
+            powers = [x if k == 1 else f"{x}^{k}" for x, k in (("theta", i), ("eta", j)) if k]
+            terms.append(" ".join([str(c), *powers, _FIELD_TEXT[field]]))
+        return " + ".join(terms).replace("+ -", "- ") + " = 0"
+
+    def residual(self, p: PriorPartials, b, t, e):
+        """The left side at partials p of the points (b, t, e), floats or arrays.
+
+        Each term is (c theta^i eta^j) * field, multiplied left to right,
+        and the terms are summed in row order; the coefficients' common
+        integer factor is taken out and applies to the sum last, so
+        3 pi + 3 eta dpi/deta rounds as 3 (pi + eta dpi/deta). No row has
+        a power of beta, so b does not enter.
+        """
+        g = math.gcd(*(c for c, _, _, _ in self.rows))
+        terms = (reduce(mul, (t,) * i + (e,) * j, c // g) * getattr(p, field)
+                 for c, i, j, field in self.rows)
+        total = reduce(add, terms)
+        return total if g == 1 else g * total
 
 
-def _r_dist_a1_beta(p, b, t, e):
-    return (p.value + t * p.d_theta) + (p.value + e * p.d_eta)
-
-
-def _r_dist_a2_beta(p, b, t, e):
-    return (t + e) * p.d_beta
-
-
-def _r_dist_theta(p, b, t, e):
-    # expanded from d2/dtheta2(theta^2 pi) - 2 d/dtheta(theta^2 dpi/dtheta)
-    #               - 12 d/dtheta(theta pi)
-    return -10.0 * p.value - 12.0 * t * p.d_theta - t * t * p.d2_theta
-
-
-def _r_dist_eta_main(p, b, t, e):
-    return -e * p.d_eta - e * e * p.d2_eta - t * p.d_theta
-
-
-def _r_dist_eta_aux(p, b, t, e):
-    return 3.0 * (p.value + e * p.d_eta)
-
-
-def _r_hpd_beta(p, b, t, e):
-    return (p.value + t * p.d_theta) + (p.value + e * p.d_eta) - e * e * p.d2_beta
-
-
-def _r_hpd_theta(p, b, t, e):
-    return -2.0 * p.value - 2.0 * t * p.d_theta - 2.0 * p.d_theta - t * p.d2_theta
-
-
-def _r_hpd_eta(p, b, t, e):
-    return t * p.d_theta - 3.0 * e * p.d_eta - e * e * p.d2_eta
-
-
-def _r_lr_beta(p, b, t, e):
-    return (p.value + t * p.d_theta) + (p.value + e * p.d_eta) + e * e * p.d2_beta
-
-
-def _r_lr_theta(p, b, t, e):
-    return 4.0 * p.value + 6.0 * t * p.d_theta + t * t * p.d2_theta
-
-
-def _r_lr_eta(p, b, t, e):
-    return 3.0 * p.value + t * p.d_theta + 4.0 * e * p.d_eta + e * e * p.d2_eta
-
-
+# registry order is report order; rows are summed in the order written
 CONDITIONS = {
     c.id: c
     for c in (
-        MatchingCondition(
-            "dist_fn_A1_beta",
-            "beta",
-            "distribution_function",
-            "d/dtheta(theta pi) + d/deta(eta pi) = 0",
-            _r_dist_a1_beta,
-        ),
-        MatchingCondition(
-            "dist_fn_A2_beta",
-            "beta",
-            "distribution_function",
-            "d/dbeta((theta + eta) pi) = 0",
-            _r_dist_a2_beta,
-        ),
-        MatchingCondition(
-            "dist_fn_theta",
-            "theta",
-            "distribution_function",
-            "d2/dtheta2(theta^2 pi) - 2 d/dtheta(theta^2 dpi/dtheta)"
-            " - 12 d/dtheta(theta pi) = 0"
-            " [the trailing coefficient is kept at 12 as derived upstream;"
-            " doubling the third-moment term would give 8, and any prior"
-            " proportional to g(beta,eta)/theta satisfies the identity for"
-            " either value]",
-            _r_dist_theta,
-        ),
-        MatchingCondition(
-            "dist_fn_eta_main",
-            "eta",
-            "distribution_function",
-            "d2/deta2(eta^2 pi) - 2 d/deta(eta^2 dpi/deta)"
-            " - d/dtheta(theta pi) - d/deta(eta pi) = 0",
-            _r_dist_eta_main,
-        ),
-        MatchingCondition(
-            "dist_fn_eta_aux",
-            "eta",
-            "distribution_function",
-            "d/deta(3 eta pi) = 0",
-            _r_dist_eta_aux,
-        ),
-        MatchingCondition(
-            "hpd_beta_pde",
-            "beta",
-            "hpd",
-            "d/dtheta(theta pi) + d/deta(eta pi) - d2/dbeta2(eta^2 pi) = 0",
-            _r_hpd_beta,
-        ),
-        MatchingCondition(
-            "hpd_theta_pde",
-            "theta",
-            "hpd",
-            "-2 d/dtheta(theta pi) - d2/dtheta2(theta pi) = 0",
-            _r_hpd_theta,
-        ),
-        MatchingCondition(
-            "hpd_eta_pde",
-            "eta",
-            "hpd",
-            "d/dtheta(theta pi) + d/deta(eta pi) - d2/deta2(eta^2 pi) = 0",
-            _r_hpd_eta,
-        ),
-        MatchingCondition(
-            "lr_beta_pde",
-            "beta",
-            "likelihood_ratio",
-            "d/dtheta(theta pi) + d/deta(eta pi) + eta^2 d2pi/dbeta2 = 0",
-            _r_lr_beta,
-        ),
-        MatchingCondition(
-            "lr_theta_pde",
-            "theta",
-            "likelihood_ratio",
-            "d/dtheta(theta^2 dpi/dtheta + 4 theta pi) = 0",
-            _r_lr_theta,
-        ),
-        MatchingCondition(
-            "lr_eta_pde",
-            "eta",
-            "likelihood_ratio",
-            "d/dtheta(theta pi) + d/deta(eta^2 dpi/deta + 2 eta pi) = 0",
-            _r_lr_eta,
-        ),
+        MatchingCondition("dist_fn_A1_beta", "beta", "distribution_function", (
+            (1, 0, 0, "value"), (1, 1, 0, "d_theta"), (1, 0, 0, "value"),
+            (1, 0, 1, "d_eta"),
+        )),
+        MatchingCondition("dist_fn_A2_beta", "beta", "distribution_function", (
+            (1, 1, 0, "d_beta"), (1, 0, 1, "d_beta"),
+        )),
+        MatchingCondition("dist_fn_theta", "theta", "distribution_function", (
+            (-10, 0, 0, "value"), (-12, 1, 0, "d_theta"), (-1, 2, 0, "d2_theta"),
+        )),
+        MatchingCondition("dist_fn_eta_main", "eta", "distribution_function", (
+            (-1, 0, 1, "d_eta"), (-1, 0, 2, "d2_eta"), (-1, 1, 0, "d_theta"),
+        )),
+        MatchingCondition("dist_fn_eta_aux", "eta", "distribution_function", (
+            (3, 0, 0, "value"), (3, 0, 1, "d_eta"),
+        )),
+        MatchingCondition("hpd_beta_pde", "beta", "hpd", (
+            (1, 0, 0, "value"), (1, 1, 0, "d_theta"), (1, 0, 0, "value"),
+            (1, 0, 1, "d_eta"), (-1, 0, 2, "d2_beta"),
+        )),
+        MatchingCondition("hpd_theta_pde", "theta", "hpd", (
+            (-2, 0, 0, "value"), (-2, 1, 0, "d_theta"), (-2, 0, 0, "d_theta"),
+            (-1, 1, 0, "d2_theta"),
+        )),
+        MatchingCondition("hpd_eta_pde", "eta", "hpd", (
+            (1, 1, 0, "d_theta"), (-3, 0, 1, "d_eta"), (-1, 0, 2, "d2_eta"),
+        )),
+        MatchingCondition("lr_beta_pde", "beta", "likelihood_ratio", (
+            (1, 0, 0, "value"), (1, 1, 0, "d_theta"), (1, 0, 0, "value"),
+            (1, 0, 1, "d_eta"), (1, 0, 2, "d2_beta"),
+        )),
+        MatchingCondition("lr_theta_pde", "theta", "likelihood_ratio", (
+            (4, 0, 0, "value"), (6, 1, 0, "d_theta"), (1, 2, 0, "d2_theta"),
+        )),
+        MatchingCondition("lr_eta_pde", "eta", "likelihood_ratio", (
+            (3, 0, 0, "value"), (1, 1, 0, "d_theta"), (4, 0, 1, "d_eta"),
+            (1, 0, 2, "d2_eta"),
+        )),
     )
 }
 

@@ -3,6 +3,7 @@
 import argparse
 import errno
 import functools
+import hashlib
 import json
 import os
 import shutil
@@ -141,6 +142,23 @@ def test_verify_prior_flat_fails_with_exit_4(capsys):
     code, out, _ = run_cli(capsys, "verify-prior", "flat")
     assert code == 4
     assert "NO" in out
+
+
+@pytest.mark.parametrize("prior, grid, code, digest", [
+    ("matching", (), 0, "a7e95329753f8995cabe0b616c413cfa8357ea364479bb3d25d56fcb30c86ce0"),
+    ("matching", ("--grid-beta=-2.1:2.3:11", "--grid-theta=0.6:3.1:11", "--grid-eta=0.55:2.9:11"),
+     0, "15fa19e94079364040609a4d208c32489cd83eaa3559f3da94243323b97c4999"),
+    ("flat", (), 4, "88d0d69aa3106c7749ead0184fa6fa3e9ab17e528dcbcff11658685af64c7eb5"),
+    ("flat", ("--grid-beta=-2.1:2.3:11", "--grid-theta=0.6:3.1:11", "--grid-eta=0.55:2.9:11"),
+     4, "1296e365bbc795a7490101131710e5051aa851fbd0bbb51fb810bbb1bc742f2a"),
+], ids=["matching-default", "matching-11^3", "flat-default", "flat-11^3"])
+def test_verify_prior_csv_is_pinned(capsys, prior, grid, code, digest):
+    # the matching prior's residuals are rounding noise printed to 7 digits,
+    # so any change to the order in which an identity's terms are rounded
+    # shows here; such a change must update these hashes knowingly
+    got, out, _ = run_cli(capsys, "verify-prior", prior, "--format", "csv", *grid)
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_prior_custom_grid_and_json(capsys):

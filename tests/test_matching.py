@@ -12,6 +12,8 @@ from operator import mul
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from bvnprior import matching
 from bvnprior.errors import DomainError
@@ -744,3 +746,192 @@ def test_moment_claims_follow_from_gaussian_residual_moments():
             for (i, j), coeff in sp.Poly(integrand, u, v).terms()
         )
         assert sp.simplify(moment - sp.nsimplify(claim(t, e))) == 0, label
+
+
+# -- the rows of each identity ---------------------------------------------
+
+
+def field_orders(field):
+    """(k_beta, k_theta, k_eta): the derivative orders of a PriorPartials field."""
+    if field == "value":
+        return (0, 0, 0)
+    order, axis = re.fullmatch(r"d(2?)_(beta|theta|eta)", field).groups()
+    return tuple(int(order or 1) * (axis == x) for x in ("beta", "theta", "eta"))
+
+
+@cache
+def operator_forms():
+    """Each identity as its differential operator, applied to a prior pi: the
+    PDEs as first derived, before any product-rule expansion."""
+    sp = pytest.importorskip("sympy")
+    b, t, e = sp.symbols("beta theta eta", positive=True)
+    D = sp.diff
+    forms = {
+        "dist_fn_A1_beta": lambda pi: D(t * pi, t) + D(e * pi, e),
+        "dist_fn_A2_beta": lambda pi: D((t + e) * pi, b),
+        "dist_fn_theta": lambda pi: (D(t**2 * pi, t, 2) - 2 * D(t**2 * D(pi, t), t)
+                                     - 12 * D(t * pi, t)),
+        "dist_fn_eta_main": lambda pi: (D(e**2 * pi, e, 2) - 2 * D(e**2 * D(pi, e), e)
+                                        - D(t * pi, t) - D(e * pi, e)),
+        "dist_fn_eta_aux": lambda pi: D(3 * e * pi, e),
+        "hpd_beta_pde": lambda pi: D(t * pi, t) + D(e * pi, e) - D(e**2 * pi, b, 2),
+        "hpd_theta_pde": lambda pi: -2 * D(t * pi, t) - D(t * pi, t, 2),
+        "hpd_eta_pde": lambda pi: D(t * pi, t) + D(e * pi, e) - D(e**2 * pi, e, 2),
+        "lr_beta_pde": lambda pi: D(t * pi, t) + D(e * pi, e) + e**2 * D(pi, b, 2),
+        "lr_theta_pde": lambda pi: D(t**2 * D(pi, t) + 4 * t * pi, t),
+        "lr_eta_pde": lambda pi: D(t * pi, t) + D(e**2 * D(pi, e) + 2 * e * pi, e),
+    }
+    return sp, (b, t, e), forms
+
+
+def rows_expression(rows, pi):
+    """sum c theta^i eta^j field over the rows, for a sympy prior pi."""
+    sp, (b, t, e), _ = operator_forms()
+    return sum(c * t**i * e**j * sp.diff(pi, *zip((b, t, e), field_orders(field)))
+               for c, i, j, field in rows)
+
+
+def test_operator_forms_cover_the_registry():
+    assert list(operator_forms()[2]) == list(CONDITION_IDS)
+
+
+@pytest.mark.parametrize("cid", CONDITION_IDS)
+def test_rows_are_the_expanded_operator_form(cid):
+    sp, symbols, forms = operator_forms()
+    pi = sp.Function("pi")(*symbols)
+    rows = CONDITIONS[cid].rows
+    assert sp.expand(forms[cid](pi) - rows_expression(rows, pi)) == 0
+    # the oracle sees a mistyped coefficient, power or field in any row
+    for k, (c, i, j, field) in enumerate(rows):
+        other = "d2_eta" if field == "d2_theta" else "d2_theta"
+        for typo in ((c + 1, i, j, field), (c, i + 1, j, field), (c, i, j, other)):
+            mistyped = rows[:k] + (typo,) + rows[k + 1:]
+            assert sp.expand(forms[cid](pi) - rows_expression(mistyped, pi)) != 0, (cid, typo)
+
+
+def test_descriptions_are_generated_from_the_rows():
+    assert CONDITIONS["hpd_theta_pde"].description == (
+        "-2 pi - 2 theta dpi/dtheta - 2 dpi/dtheta - 1 theta d2pi/dtheta2 = 0")
+    assert CONDITIONS["lr_eta_pde"].description == (
+        "3 pi + 1 theta dpi/dtheta + 4 eta dpi/deta + 1 eta^2 d2pi/deta2 = 0")
+
+
+def power_prior(a, b):
+    """theta^a eta^b, with exact partials."""
+
+    def partials(beta, t, e):
+        v = t**a * e**b
+        return PriorPartials(v, 0.0, a * v / t, b * v / e, 0.0,
+                             a * (a - 1) * v / (t * t), b * (b - 1) * v / (e * e))
+
+    return PriorSpec(f"power({a}, {b})", lambda beta, t, e: a * math.log(t) + b * math.log(e),
+                     partials)
+
+
+def power_reading(condition, a, b, t, e, falling=lambda x, k: math.prod(x - m for m in range(k))):
+    """The terms of residual / pi for theta^a eta^b, read off the rows:
+    c theta^(i - k_theta) eta^(j - k_eta) (a)_k_theta (b)_k_eta, where (x)_k is
+    the falling factorial, and a row on a beta partial gives no term."""
+    return [c * t ** (i - kt) * e ** (j - ke) * falling(a, kt) * falling(b, ke)
+            for c, i, j, field in condition.rows
+            for kb, kt, ke in [field_orders(field)] if kb == 0]
+
+
+POWERS = [(-1, -1), (0, 0), (-1, -2), (0.5, 2), (-2.5, 1.5), (3, -1)]
+
+
+@pytest.mark.parametrize("grid", EQUALITY_GRIDS[:2])
+@pytest.mark.parametrize("a, b", POWERS)
+def test_power_prior_residuals_are_read_off_the_rows(a, b, grid):
+    _, theta_ax, eta_ax = grid.axes()
+    t, e = theta_ax[:, None], eta_ax[None, :]
+    pi = t**a * e**b
+    for report in verify_prior(power_prior(a, b), grid):
+        terms = power_reading(CONDITIONS[report.condition_id], a, b, t, e)
+        expected = np.abs(pi * sum(terms, np.zeros_like(pi)))
+        size = pi * sum(map(np.abs, terms), np.zeros_like(pi))
+        assert abs(report.max_abs_residual - expected.max()) <= 1e-12 * size.max(), report
+
+
+def test_power_prior_readings_in_closed_form():
+    sp, (_, t, e), forms = operator_forms()
+    a, b = sp.symbols("a b")
+    power = t**a * e**b
+    readings = {cid: sum(power_reading(c, a, b, t, e, falling=sp.ff), sp.Integer(0))
+                for cid, c in CONDITIONS.items()}
+    for cid, reading in readings.items():
+        # the operator form applied to theta^a eta^b reads the same
+        assert sp.simplify(forms[cid](power) / power - reading) == 0, cid
+        # every identity holds for the matching prior 1/(theta eta)
+        assert sp.simplify(reading.subs({a: -1, b: -1})) == 0, cid
+    assert sp.simplify(readings["hpd_theta_pde"] + (a + 1) * (a + 2 * t) / t) == 0
+    assert sp.simplify(readings["hpd_eta_pde"] - (a - 2 * b - b**2)) == 0
+    assert sp.simplify(readings["dist_fn_A1_beta"] - (a + b + 2)) == 0
+
+
+# under theta -> s theta and beta, eta -> r beta, r eta (the diagonal group
+# elements) a term c theta^i eta^j d^k pi scales by s^(i - k_theta) r^(j - k_eta - k_beta)
+NOT_SCALE_COVARIANT = {
+    "hpd_theta_pde": "-(a+1)(a + 2 theta)/theta mixes weights; ROADMAP item 4 decides it",
+    "dist_fn_A2_beta": "theta dpi/dbeta and eta dpi/dbeta differ in weight; ROADMAP item 4 decides it",
+}
+
+
+@pytest.mark.parametrize("cid", [
+    pytest.param(cid, marks=pytest.mark.xfail(strict=True, reason=NOT_SCALE_COVARIANT[cid]))
+    if cid in NOT_SCALE_COVARIANT else cid
+    for cid in CONDITION_IDS
+])
+def test_every_row_of_an_identity_has_one_weight(cid):
+    weights = set()
+    for _, i, j, field in CONDITIONS[cid].rows:
+        kb, kt, ke = field_orders(field)
+        weights.add((i - kt, j - ke - kb))
+    assert len(weights) == 1, weights
+
+
+# -- exact score moments from _partial's linear forms -----------------------
+
+
+def linear_form(theta, eta, orders):
+    """(c0, c1, c2, c3) with the partial c0 + c1 u^2 + c2 uv + c3 v^2: _partial
+    is affine in its powers, so its values at the columns 0, e1, e2, e3 give them."""
+    columns = _partial(np.hstack([np.zeros((3, 1)), np.eye(3)]), theta, eta, orders)
+    return columns[0], *(columns[1:] - columns[0])
+
+
+def normal_moment(k, var):
+    """E z^k for z ~ N(0, var): (k-1)!! var^(k/2) for even k, else 0."""
+    return 0.0 if k % 2 else math.prod(range(k - 1, 0, -2)) * var ** (k // 2)
+
+
+def isserlis_moment(factors, theta, eta):
+    """E of the product of the partials, and the sum of its terms' sizes: the
+    product as a polynomial in (u, v), with u ~ N(0, theta eta) and
+    v ~ N(0, theta/eta) independent."""
+    poly = {(0, 0): 1.0}
+    for f in factors:
+        c0, c1, c2, c3 = linear_form(theta, eta, f)
+        product = {}
+        for (p, q), x in poly.items():
+            for (r, s), y in (((0, 0), c0), ((2, 0), c1), ((1, 1), c2), ((0, 2), c3)):
+                product[p + r, q + s] = product.get((p + r, q + s), 0.0) + x * y
+        poly = product
+    terms = [x * normal_moment(p, theta * eta) * normal_moment(q, theta / eta)
+             for (p, q), x in poly.items()]
+    return sum(terms), sum(map(abs, terms))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(theta=hs.floats(0.2, 5.0), eta=hs.floats(0.2, 5.0))
+def test_moment_claims_equal_their_isserlis_moments(theta, eta):
+    powers = np.abs(np.random.default_rng(0).standard_normal((3, 5)))
+    for label, factors, claim in _MOMENTS:
+        for f in set(factors):
+            c0, *c = linear_form(theta, eta, f)
+            assert np.allclose(_partial(powers, theta, eta, f), c0 + np.dot(c, powers),
+                               rtol=1e-12, atol=0.0), (label, f)
+        moment, size = isserlis_moment(factors, theta, eta)
+        claimed = claim(theta, eta)
+        # relative to the claim, or to the terms' sizes where the claim is 0
+        assert abs(moment - claimed) <= 1e-12 * (abs(claimed) or size), label
