@@ -121,14 +121,15 @@ def _cmd_stats(args) -> int:
 def _cmd_posterior(args) -> int:
     st = _read_stats(args.input)
     dist = _POSTERIORS[args.param](st)
-    mean = dist.mean()
+    quantiles = dict(zip((f"{p:g}" for p in _QUANTILE_PROBS),
+                         dist.quantile(_QUANTILE_PROBS).tolist()))
     payload = {
         "param": dist.param_id,
         "n": st.n,
         "mode": dist.mode(),
-        "mean": mean,
-        "median": dist.quantile(0.5),
-        "quantiles": {f"{p:g}": dist.quantile(p) for p in _QUANTILE_PROBS},
+        "mean": dist.mean(),
+        "median": quantiles["0.5"],
+        "quantiles": quantiles,
     }
     _write_text(args.output, json.dumps(payload, indent=2) + "\n")
     return 0

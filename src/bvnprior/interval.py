@@ -96,28 +96,40 @@ def _check_kind(kind: str):
         raise DomainError(f"unknown interval kind {kind!r}")
 
 
-def _solve_hpd(family: StandardFamily, n: int, alpha: float) -> float:
-    """Lower tail mass p of the HPD interval of a strictly unimodal family.
+def _solve_hpd(family: StandardFamily, n: int, alpha: float):
+    """Bounds (quantile(p), isf(alpha - p)) of the HPD interval of a
+    strictly unimodal family, at the split p where the end densities meet.
 
     The objective log_kernel(quantile(p)) - log_kernel(isf(alpha - p)) is
     negative below the HPD split and positive above it. It is solved on
     s = log(p / (alpha - p)) from the bracket [-1, 1], each end doubled
     until the sign is right; past |s| = 512 the split is out of reach and
-    find_root reports the bracket.
+    find_root reports the bracket. Each s is evaluated once, the two
+    starting ends in one array call: the doubling loop, find_root's sign
+    check and Brent's start all ask for the bracket ends, and the root is
+    a point Brent evaluated, so its bounds are returned as computed.
     """
+    seen = {}  # s -> (objective, lo, hi)
+
+    def evaluate(ss):
+        p = np.array([alpha / (1.0 + math.exp(-s)) for s in ss])
+        lo, hi = family.quantile(n, p), family.isf(n, alpha - p)
+        gaps = family.log_kernel(n, lo) - family.log_kernel(n, hi)
+        seen.update(zip(ss, zip(gaps.tolist(), lo.tolist(), hi.tolist())))
 
     def gap(s):
-        p = alpha / (1.0 + math.exp(-s))
-        lo, hi = family.quantile(n, p), family.isf(n, alpha - p)
-        return float(family.log_kernel(n, lo) - family.log_kernel(n, hi))
+        if s not in seen:
+            evaluate((s,))
+        return seen[s][0]
 
     s_lo, s_hi = -1.0, 1.0
+    evaluate((s_lo, s_hi))
     while not gap(s_lo) < 0.0 and s_lo > -512.0:
         s_lo *= 2.0
     while not gap(s_hi) > 0.0 and s_hi < 512.0:
         s_hi *= 2.0
     s = numerics.find_root(gap, numerics.Bracket(s_lo, s_hi), tol=1e-12)
-    return alpha / (1.0 + math.exp(-s))
+    return seen[s][1:]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -126,20 +138,26 @@ def standard_bounds(family: StandardFamily, n: int, level: float, kind: str):
 
     An interval of a posterior location + scale * Z is
     (location + scale * lo, location + scale * hi). Every kind returns
-    (quantile(p), isf(alpha - p)) for its lower tail mass p. The "hpd"
-    kind assumes a unimodal family with its mode inside the support;
-    hpd_unimodal handles monotone densities before asking. Memoized: the
-    result depends only on the arguments.
+    (quantile(p), isf(alpha - p)) for its lower tail mass p; the HPD split
+    of an asymmetric family comes with its bounds from _solve_hpd, so the
+    family is not called again at the root. The "hpd" kind assumes a
+    unimodal family with its mode inside the support; hpd_unimodal
+    handles monotone densities before asking. Memoized: the result
+    depends only on the arguments.
     """
     _check_kind(kind)
     numerics._check_level(level)
     alpha = 1.0 - level
-    tails = {"equal_tailed": alpha / 2.0, "upper_one_sided": 0.0, "lower_one_sided": alpha}
+    tails = {
+        "hpd": alpha / 2.0,
+        "equal_tailed": alpha / 2.0,
+        "upper_one_sided": 0.0,
+        "lower_one_sided": alpha,
+    }
     with np.errstate(divide="ignore"):
-        if kind == "hpd":
-            p = alpha / 2.0 if family.symmetric else _solve_hpd(family, n, alpha)
-        else:
-            p = tails[kind]
+        if kind == "hpd" and not family.symmetric:
+            return _solve_hpd(family, n, alpha)
+        p = tails[kind]
         return float(family.quantile(n, p)), float(family.isf(n, alpha - p))
 
 
@@ -148,13 +166,14 @@ def _interval(dist: PosteriorDistribution, kind: str, level: float) -> CredibleI
         dist.location + dist.scale * b
         for b in standard_bounds(dist.family, dist.stats.n, level, kind)
     )
+    upper, lower = dist.cdf([hi, lo]).tolist()
     return CredibleInterval(
         param=dist.param_id,
         kind=kind,
         level=level,
         lo=lo,
         hi=hi,
-        achieved_mass=dist.cdf(hi) - dist.cdf(lo),
+        achieved_mass=upper - lower,
     )
 
 

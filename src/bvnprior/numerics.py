@@ -233,6 +233,9 @@ def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12)
     Brent's method: bisection-safeguarded secant / inverse quadratic
     steps, never leaving the bracket. Raises BracketError when f has the
     same sign at both ends, NumericalError when the iteration fails.
+    f is evaluated at both ends for the sign check, and brentq evaluates
+    them again before its first step, so a costly f should remember its
+    values (interval._solve_hpd does).
     """
     if not tol > 0.0:
         raise DomainError("find_root requires tol > 0")

@@ -161,6 +161,33 @@ def test_verify_prior_csv_is_pinned(capsys, prior, grid, code, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_PINNED_LEVELS = ("0.5", "0.95", "0.999999", repr(1.0 - 1e-14))
+
+
+def test_interval_and_posterior_outputs_are_pinned(tmp_path, capsys):
+    # every interval and posterior summary, exit code and bytes, over the
+    # kinds and far levels and down to n = 3, where the precision density
+    # is monotone and its HPD request falls back to one-sided; any change
+    # to how a bound or quantile is computed shows here
+    digest = hashlib.sha256()
+    for n in (3, 4, 10, 200):
+        path = tmp_path / f"n{n}.csv"
+        assert main(["sample", "--n", str(n), "--rho", "0.6", "--seed", str(n),
+                     "--output", str(path)]) == 0
+        for param in sorted(cli._POSTERIORS):
+            requests = [("posterior", "--param", param)] + [
+                ("interval", "--param", param, "--kind", kind, "--level", level)
+                for kind in cli.KINDS
+                for level in _PINNED_LEVELS
+            ]
+            for command, *flags in requests:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "density is monotone", RuntimeWarning)
+                    code, out, err = run_cli(capsys, command, "--input", str(path), *flags)
+                digest.update(f"{code}\n{out}\n{err}\n".encode())
+    assert digest.hexdigest() == "c058673683697ab6bff5921451c4eff620f44ab38bb57749776ad2bb20c5756e"
+
+
 def test_verify_prior_custom_grid_and_json(capsys):
     code, out, _ = run_cli(
         capsys, "verify-prior", "matching",

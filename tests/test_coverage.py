@@ -213,6 +213,25 @@ def test_hits_are_invariant_to_the_data_scales(c1, c2):
             assert 0 < hits[0].sum() < hits[0].size
 
 
+
+@pytest.mark.parametrize("n", [4, 20, 2000])
+def test_one_stream_covers_alike_at_every_rho(n):
+    # x2 -> rho x1 + sqrt(1 - rho^2) x2 maps the rho = 0 model onto the
+    # others, and the intervals are equivariant under it, so rho moves each
+    # replicate's pivot by rounding only: one stream has the same hit count
+    # for every param at every rho, and its PIT values agree to 5.3e-14
+    # (measured at 4,000 replicates), asserted at 1e-12
+    for kind in interval.KINDS:
+        cells = [
+            run_cell(CoverageCellSpec(rho=rho, n=n, replicates=4000, kind=kind, seed=31), 5)
+            for rho in (-0.9, 0.0, 0.25, 0.75, 0.99)
+        ]
+        for cell in cells[1:]:
+            assert cell.coverage == cells[0].coverage, (kind, cell.rho)
+            for param, values in cell.cdf_values.items():
+                assert np.max(np.abs(values - cells[0].cdf_values[param])) <= 1e-12, (kind, param)
+
+
 def test_one_sided_coverage_matches_level():
     for kind in ("upper_one_sided", "lower_one_sided"):
         spec = CoverageCellSpec(rho=0.75, n=12, replicates=2000, kind=kind, seed=29)

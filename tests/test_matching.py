@@ -38,6 +38,7 @@ from bvnprior.matching import (
     verify_score_moments,
 )
 from bvnprior.model import (
+    OriginalParams,
     OrthogonalParams,
     _draw_residual_powers,
     _partial,
@@ -45,6 +46,7 @@ from bvnprior.model import (
     log_density_partial,
     sample,
     to_original,
+    to_orthogonal,
 )
 
 MATCHING_FD = PriorSpec("matching-fd", MATCHING_PRIOR.log_prior)
@@ -746,6 +748,28 @@ def test_moment_claims_follow_from_gaussian_residual_moments():
             for (i, j), coeff in sp.Poly(integrand, u, v).terms()
         )
         assert sp.simplify(moment - sp.nsimplify(claim(t, e))) == 0, label
+
+
+
+def test_matching_prior_is_the_right_haar_prior_in_sigma_rho():
+    # Berger & Sun (2008): in (sigma1, sigma2, rho) the prior 1/(theta eta)
+    # is 2/(sigma1^2 (1 - rho^2)), the right-Haar prior of the group
+    # x1 -> a11 x1, x2 -> a21 x1 + a22 x2
+    sp = pytest.importorskip("sympy")
+    s1, s2 = sp.symbols("sigma1 sigma2", positive=True)
+    r = sp.symbols("rho", real=True)
+    root = sp.sqrt(1 - r**2)
+    b, t, e = r * s2 / s1, s1 * s2 * root, s2 * root / s1
+    point = OriginalParams(0.0, 0.0, 1.3, 0.7, -0.4)
+    at = {s1: point.sigma1, s2: point.sigma2, r: point.rho}
+    orth = to_orthogonal(point)
+    assert [float(x.subs(at)) for x in (b, t, e)] == pytest.approx(
+        [orth.beta, orth.theta, orth.eta], rel=1e-15)
+    assert math.exp(MATCHING_PRIOR.log_prior(orth.beta, orth.theta, orth.eta)) == pytest.approx(
+        1.0 / (orth.theta * orth.eta), rel=1e-15)
+    det = sp.Matrix([b, t, e]).jacobian([s1, s2, r]).det()
+    assert sp.simplify(det - 2 * s2**2 / s1**2) == 0
+    assert sp.simplify(det / (t * e) - 2 / (s1**2 * (1 - r**2))) == 0
 
 
 # -- the rows of each identity ---------------------------------------------
