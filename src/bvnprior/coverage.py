@@ -267,9 +267,9 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
 def _cell_task(args):
     spec, index = args
     try:
-        return index, run_cell(spec, index)
+        return run_cell(spec, index)
     except BvnPriorError as exc:
-        failed = CellResult(
+        return CellResult(
             rho=spec.rho,
             n=spec.n,
             kind=spec.kind,
@@ -282,7 +282,6 @@ def _cell_task(args):
             cdf_values={},
             error=str(exc),
         )
-        return index, failed
 
 
 def run_table(
@@ -315,10 +314,9 @@ def run_table(
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            indexed = list(pool.map(_cell_task, tasks))
+            cells = tuple(pool.map(_cell_task, tasks))
     else:
-        indexed = [_cell_task(t) for t in tasks]
-    cells = tuple(result for _, result in sorted(indexed, key=lambda pair: pair[0]))
+        cells = tuple(map(_cell_task, tasks))
     spec = tasks[0][0]  # holds seed and replicates as checked Python ints
     return CoverageReport(
         seed=spec.seed, level=level, kind=kind, replicates=spec.replicates, cells=cells

@@ -102,12 +102,13 @@ def _solve_hpd(family: StandardFamily, n: int, alpha: float):
 
     The objective log_kernel(quantile(p)) - log_kernel(isf(alpha - p)) is
     negative below the HPD split and positive above it. It is solved on
-    s = log(p / (alpha - p)) from the bracket [-1, 1], each end doubled
-    until the sign is right; past |s| = 512 the split is out of reach and
-    find_root reports the bracket. Each s is evaluated once, the two
-    starting ends in one array call: the doubling loop, find_root's sign
-    check and Brent's start all ask for the bracket ends, and the root is
-    a point Brent evaluated, so its bounds are returned as computed.
+    s = log(p / (alpha - p)) by find_root(gap, s_lo, s_hi), from the ends
+    -1 and 1, each doubled until the sign is right; past |s| = 512 the
+    split is out of reach and find_root raises BracketError. Each s is
+    evaluated once, the two starting ends in one array call: the doubling
+    loop, find_root's sign check and Brent's start all ask for the ends,
+    and the root is a point Brent evaluated, so its bounds are returned
+    as computed.
     """
     seen = {}  # s -> (objective, lo, hi)
 
@@ -128,7 +129,7 @@ def _solve_hpd(family: StandardFamily, n: int, alpha: float):
         s_lo *= 2.0
     while not gap(s_hi) > 0.0 and s_hi < 512.0:
         s_hi *= 2.0
-    s = numerics.find_root(gap, numerics.Bracket(s_lo, s_hi), tol=1e-12)
+    s = numerics.find_root(gap, s_lo, s_hi)
     return seen[s][1:]
 
 

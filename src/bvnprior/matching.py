@@ -153,9 +153,14 @@ class GridSpec:
 
     def __post_init__(self):
         for name in ("beta", "theta", "eta"):
-            lo, hi, count = getattr(self, name)
+            axis = getattr(self, name)
+            try:
+                lo, hi, count = axis
+                lo, hi = float(lo), float(hi)
+            except (TypeError, ValueError):
+                raise DomainError(f"grid axis {name} must be (lo, hi, count), got {axis!r}") from None
             # a finite span makes both bounds finite
-            if not (math.isfinite(float(hi) - float(lo)) and lo < hi):
+            if not (math.isfinite(hi - lo) and lo < hi):
                 raise DomainError(f"grid axis {name} needs finite bounds lo < hi and a finite span")
             object.__setattr__(self, name, (lo, hi, _check_count(count, f"grid {name} count", 2)))
         if self.theta[0] <= 0.0 or self.eta[0] <= 0.0:

@@ -223,7 +223,10 @@ def log_density_partial(p: OrthogonalParams, x1, x2, multi_index):
     parameter, with total order between 1 and 3. Every partial is exact
     (see _partial). Vectorized over x1, x2; a float when both are 0-d.
     """
-    orders = tuple(_check_count(k, "order", 0) for k in multi_index)
+    try:
+        orders = tuple(_check_count(k, "order", 0) for k in multi_index)
+    except TypeError:  # not iterable
+        orders = ()
     if len(orders) != 3:
         raise DomainError("multi_index must be three non-negative integers")
     if not 1 <= sum(orders) <= 3:

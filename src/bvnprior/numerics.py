@@ -5,8 +5,10 @@ CDF/quantile pair built from the regularized incomplete beta function.
 Keeping them behind one surface pins down domains and error types, and
 gives the rest of the package a single place to swap implementations.
 Every posterior quantity is a closed form in these functions; the
-adaptive quadrature `integrate` is not called by the package. The scipy
-solvers behind find_root and integrate are imported at their first call.
+adaptive quadrature `integrate` is not called by the package.
+find_root(f, lo, hi) is Brent's method on two plain floats, to an
+absolute tolerance of 1e-12. The scipy solvers behind find_root and
+integrate are imported at their first call.
 
 The ten special functions share one argument rule and one return rule.
 Every shape parameter (a, b, df) must be finite and > 0; a probability p,
@@ -35,7 +37,6 @@ from scipy import special as _sp
 from .errors import BracketError, DomainError, NumericalError
 
 __all__ = [
-    "Bracket",
     "QuadratureResult",
     "log_gamma",
     "log_beta",
@@ -50,20 +51,6 @@ __all__ = [
     "find_root",
     "integrate",
 ]
-
-
-@dataclass(frozen=True)
-class Bracket:
-    """A closed interval [lo, hi] believed to contain a root."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
-            raise DomainError(f"bracket requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
 @dataclass(frozen=True)
@@ -227,41 +214,36 @@ def student_t_quantile(df, p):
     return _result(out, df, p)
 
 
-def find_root(f: Callable[[float], float], bracket: Bracket, tol: float = 1e-12):
-    """Root of a continuous scalar function inside a sign-changing bracket.
+def find_root(f: Callable[[float], float], lo: float, hi: float):
+    """Root of a continuous scalar function on [lo, hi], where f changes sign.
 
     Brent's method: bisection-safeguarded secant / inverse quadratic
-    steps, never leaving the bracket. Raises BracketError when f has the
-    same sign at both ends, NumericalError when the iteration fails.
-    f is evaluated at both ends for the sign check, and brentq evaluates
-    them again before its first step, so a costly f should remember its
-    values (interval._solve_hpd does).
+    steps, never leaving [lo, hi], to an absolute tolerance of 1e-12.
+    Raises DomainError unless lo < hi are finite, BracketError when f is
+    not finite or has the same sign at both ends, NumericalError when the
+    iteration fails. f is evaluated at both ends for the sign check, and
+    brentq evaluates them again before its first step, so a costly f
+    should remember its values (interval._solve_hpd does).
     """
-    if not tol > 0.0:
-        raise DomainError("find_root requires tol > 0")
-    f_lo = f(bracket.lo)
-    f_hi = f(bracket.hi)
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError("bracket endpoints must be finite")
+    if not lo < hi:
+        raise DomainError(f"bracket requires lo < hi, got [{lo}, {hi}]")
+    f_lo = f(lo)
+    f_hi = f(hi)
     if not (math.isfinite(f_lo) and math.isfinite(f_hi)):
         raise BracketError("find_root requires finite f at the bracket ends")
     if f_lo == 0.0:
-        return bracket.lo
+        return lo
     if f_hi == 0.0:
-        return bracket.hi
+        return hi
     if f_lo * f_hi > 0.0:
-        raise BracketError(
-            f"no sign change on [{bracket.lo}, {bracket.hi}]: "
-            f"f(lo)={f_lo:g}, f(hi)={f_hi:g}"
-        )
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f(lo)={f_lo:g}, f(hi)={f_hi:g}")
     from scipy.optimize import brentq
     try:
-        root, result = brentq(
-            f, bracket.lo, bracket.hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-            maxiter=200, full_output=True,
-        )
-    except Exception as exc:  # pragma: no cover - brentq rarely raises here
+        root = brentq(f, lo, hi, xtol=1e-12, rtol=4 * np.finfo(float).eps, maxiter=200)
+    except Exception as exc:  # brentq raises RuntimeError past maxiter
         raise NumericalError(f"root iteration failed: {exc}") from exc
-    if not result.converged:  # pragma: no cover
-        raise NumericalError("root iteration did not converge", best_estimate=root)
     return float(root)
 
 

@@ -193,6 +193,10 @@ def test_log_density_partial_validates_multi_index():
     for bad in ((1.5, 0, 0), (True, 0, 0), ("1", 0, 0)):
         with pytest.raises(DomainError):
             log_density_partial(POINT, 0.0, 0.0, bad)
+    # a multi_index that is not a sequence at all
+    for bad in (5, None):
+        with pytest.raises(DomainError, match="multi_index"):
+            log_density_partial(POINT, 0.0, 0.0, bad)
 
 
 def test_fisher_information_mean_block_matches_curvature():

@@ -13,7 +13,6 @@ import pytest
 
 from bvnprior.errors import BracketError, DomainError, NumericalError
 from bvnprior.numerics import (
-    Bracket,
     find_root,
     integrate,
     log_beta,
@@ -274,32 +273,36 @@ def test_reg_inc_beta_inv_at_subnormal_p_matches_mpmath(n):
             assert abs(x - exact) <= 1e-9 * exact, (a, b, p, x)
 
 
-def test_bracket_validates_ordering():
-    with pytest.raises(DomainError):
-        Bracket(2.0, 1.0)
-    with pytest.raises(DomainError):
-        Bracket(1.0, math.nan)
-    b = Bracket(0.0, 2.0)
-    assert (b.lo, b.hi) == (0.0, 2.0)
+def test_find_root_validates_bracket_ends():
+    with pytest.raises(DomainError, match="lo < hi"):
+        find_root(lambda x: x - 1.5, 2.0, 1.0)
+    with pytest.raises(DomainError, match="finite"):
+        find_root(lambda x: x - 1.5, 1.0, math.nan)
 
 
 def test_find_root_simple_polynomial():
-    root = find_root(lambda x: x * x - 2.0, Bracket(0.0, 2.0))
+    root = find_root(lambda x: x * x - 2.0, 0.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
 def test_find_root_accepts_root_at_endpoint():
-    assert find_root(lambda x: x - 1.0, Bracket(1.0, 3.0)) == 1.0
+    assert find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
 
 
 def test_find_root_rejects_unbracketed_sign():
     with pytest.raises(BracketError):
-        find_root(lambda x: x * x + 1.0, Bracket(-1.0, 1.0))
+        find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
 def test_find_root_rejects_nonfinite_endpoint_value():
     with pytest.raises(BracketError):
-        find_root(lambda x: math.inf if x == 0.0 else 1.0 / x, Bracket(0.0, 1.0))
+        find_root(lambda x: math.inf if x == 0.0 else 1.0 / x, 0.0, 1.0)
+
+
+def test_find_root_wraps_a_failed_iteration():
+    # a step function across 2e300 needs about 1,000 bisections, past maxiter 200
+    with pytest.raises(NumericalError, match="root iteration failed"):
+        find_root(lambda x: 1.0 if x > 0.3 else -1.0, -1e300, 1e300)
 
 
 def test_integrate_finite_interval():
