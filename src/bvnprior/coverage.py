@@ -30,6 +30,14 @@ n. The intervals in Z units come from interval.standard_bounds, the
 memoized solver the interval API uses too, so each replicate's interval
 is the one hpd_unimodal / equal_tailed / one_sided would return, and
 the posterior CDF at the truth is the family CDF of the true Z.
+
+Since the law of Z depends only on n, run_table evaluates the cells of
+one n as one group. Each cell still draws its own stream, into its
+columns of one array of the group, and loses only its own degenerate
+replicates; each parameter then takes one pivot, one bounds lookup, one
+hit test and one CDF call for the whole group. Every step is
+elementwise, so a cell's result is the same bits in any group: run_cell
+is the one-cell group, and worker processes take whole n-groups.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -103,8 +112,9 @@ def _check_rho(rho) -> float:
 class CoverageCellSpec:
     """One simulation cell: a (rho, n) pair plus run settings.
 
-    n, replicates and seed are stored as Python ints; the seed must lie
-    in [0, 2**64), the domain of the splitmix64 chain.
+    rho and level are stored as Python floats, n, replicates and seed as
+    Python ints; the seed must lie in [0, 2**64), the domain of the
+    splitmix64 chain.
     """
 
     rho: float
@@ -120,6 +130,7 @@ class CoverageCellSpec:
                                      ("seed", 0, 1 << 64)):
             object.__setattr__(self, name, _check_count(getattr(self, name), name, minimum, below))
         _check_level(self.level)
+        object.__setattr__(self, "level", float(self.level))
         _check_kind(self.kind)
 
 
@@ -220,56 +231,90 @@ def _draw_stats(rho: float, n: int, replicates: int, rng):
     return a, root_a * (rho * root_a + root * z), root ** 2 * c
 
 
+def _run_group(cells) -> list:
+    """Run cells that share n, level and kind: a CellResult or the error of each.
+
+    cells is a list of (spec, cell_index). Each cell draws from its own
+    generator into its columns of one (3, total replicates) array; the
+    degenerate replicates are dropped, and a cell left with none gets
+    DegenerateDataError. Each parameter then takes one pivot, one
+    standard_bounds lookup, one hit test (counted per cell by
+    np.add.reduceat) and one CDF call at the truth, sliced back into the
+    cells. Every step is elementwise, so a cell's result does not depend
+    on its group. A BvnPriorError in these shared steps is the result of
+    every live cell.
+    """
+    n, level, kind = cells[0][0].n, cells[0][0].level, cells[0][0].kind
+    edges = list(accumulate((spec.replicates for spec, _ in cells), initial=0))
+    stats = np.empty((3, edges[-1]))
+    for (spec, cell_index), start, stop in zip(cells, edges, edges[1:]):
+        rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
+        part = stats[:, start:stop]
+        # row by row: part[:] = (...) would first stack the rows into a copy
+        part[0], part[1], part[2] = _draw_stats(spec.rho, n, spec.replicates, rng)
+    ok = (stats[0] > 0.0) & (stats[2] > 0.0)
+    counts = np.add.reduceat(ok, edges[:-1], dtype=np.intp)
+    results = [DegenerateDataError("every replicate was degenerate")] * len(cells)
+    live = [k for k, count in enumerate(counts) if count]
+    if not live:
+        return results
+    s11, s12, s22_1 = stats if ok.all() else stats[:, ok]
+    used = [int(counts[k]) for k in live]
+    edges = list(accumulate(used, initial=0))
+    truths = [to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, cells[k][0].rho)) for k in live]
+    try:
+        hits, cdf_values = {}, {}
+        for param, posterior in _POSTERIORS.items():
+            location, scale = posterior.pivot(n, s11, s12, s22_1)
+            lo, hi = standard_bounds(posterior.family, n, level, kind)
+            value = np.repeat([getattr(truth, param) for truth in truths], used)
+            hit = (value >= location + scale * lo) & (value <= location + scale * hi)
+            hits[param] = np.add.reduceat(hit, edges[:-1], dtype=np.intp)
+            cdf = np.asarray(posterior.family.cdf(n, (value - location) / scale))
+            cdf_values[param] = [cdf[start:stop] for start, stop in zip(edges, edges[1:])]
+    except BvnPriorError as exc:
+        for k in live:
+            results[k] = exc
+        return results
+    for j, k in enumerate(live):
+        spec = cells[k][0]
+        coverage = {p: int(hits[p][j]) / used[j] for p in _PARAMS}
+        results[k] = CellResult(
+            rho=spec.rho,
+            n=n,
+            kind=kind,
+            level=level,
+            replicates=spec.replicates,
+            replicates_used=used[j],
+            failures=spec.replicates - used[j],
+            coverage=coverage,
+            stderr={
+                p: math.sqrt(max(coverage[p] * (1.0 - coverage[p]), 1e-12) / used[j])
+                for p in _PARAMS
+            },
+            cdf_values={p: cdf_values[p][j] for p in _PARAMS},
+        )
+    return results
+
+
 def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
-    """Run one coverage cell.
+    """Run one coverage cell, the one-cell group of run_table.
 
     Replicates with degenerate data (s11 <= 0 or s22_1 <= 0) are counted
     as failures and excluded from the denominator. The interval bounds
     come from interval.standard_bounds, once per (family, n, level, kind).
     """
     cell_index = _check_count(cell_index, "cell_index", 0, 1 << 64)
-    truth = to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, spec.rho))
-    rng = np.random.default_rng(_cell_seed(spec.seed, cell_index))
-    s11, s12, s22_1 = _draw_stats(spec.rho, spec.n, spec.replicates, rng)
-    ok = (s11 > 0.0) & (s22_1 > 0.0)
-    s11, s12, s22_1 = s11[ok], s12[ok], s22_1[ok]
-    used = s11.size
-    failures = spec.replicates - used
-    if used == 0:
-        raise DegenerateDataError("every replicate was degenerate")
-
-    hits, cdf_values = {}, {}
-    for param, posterior in _POSTERIORS.items():
-        location, scale = posterior.pivot(spec.n, s11, s12, s22_1)
-        lo, hi = standard_bounds(posterior.family, spec.n, spec.level, spec.kind)
-        value = getattr(truth, param)
-        hits[param] = (value >= location + scale * lo) & (value <= location + scale * hi)
-        cdf_values[param] = np.asarray(posterior.family.cdf(spec.n, (value - location) / scale))
-    coverage = {p: float(np.mean(hits[p])) for p in _PARAMS}
-    stderr = {
-        p: float(math.sqrt(max(coverage[p] * (1.0 - coverage[p]), 1e-12) / used))
-        for p in _PARAMS
-    }
-    return CellResult(
-        rho=spec.rho,
-        n=spec.n,
-        kind=spec.kind,
-        level=spec.level,
-        replicates=spec.replicates,
-        replicates_used=used,
-        failures=failures,
-        coverage=coverage,
-        stderr=stderr,
-        cdf_values=cdf_values,
-    )
+    (result,) = _run_group([(spec, cell_index)])
+    if isinstance(result, BvnPriorError):
+        raise result
+    return result
 
 
-def _cell_task(args):
-    spec, index = args
-    try:
-        return run_cell(spec, index)
-    except BvnPriorError as exc:
-        return CellResult(
+def _group_task(cells) -> list:
+    """_run_group with each error captured in a failed CellResult."""
+    return [
+        result if isinstance(result, CellResult) else CellResult(
             rho=spec.rho,
             n=spec.n,
             kind=spec.kind,
@@ -280,8 +325,10 @@ def _cell_task(args):
             coverage={},
             stderr={},
             cdf_values={},
-            error=str(exc),
+            error=str(result),
         )
+        for (spec, _), result in zip(cells, _run_group(cells))
+    ]
 
 
 def run_table(
@@ -297,29 +344,34 @@ def run_table(
 
     Cell index is the row-major position in that sorted grid; it enters
     the cell's generator seed, so the report is bit-identical for any worker
-    count. At most one worker process per cell is started. Errors in one
-    cell are captured in its CellResult and never abort the others.
+    count. The cells of one n run as one group (_run_group), and groups
+    are the unit of work: at most one worker process per n is started.
+    Errors are captured in the CellResults they reach and never abort
+    the other cells.
     """
     rhos = sorted(set(_check_rho(x) for x in rhos))
     ns = sorted(set(_check_count(x, "n", 4) for x in ns))
     if not rhos or not ns:
         raise DomainError("rhos and ns must be non-empty")
     workers = _check_count(workers, "workers", 1)
-    tasks = [
-        (CoverageCellSpec(rho=rho, n=n, level=level, replicates=replicates, kind=kind,
-                          seed=seed), i)
-        for i, (rho, n) in enumerate((rho, n) for rho in rhos for n in ns)
+    groups = [
+        [(CoverageCellSpec(rho=rho, n=n, level=level, replicates=replicates, kind=kind,
+                           seed=seed), i * len(ns) + j)
+         for i, rho in enumerate(rhos)]
+        for j, n in enumerate(ns)
     ]
-    workers = min(workers, len(tasks))
+    workers = min(workers, len(groups))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_cell_task, tasks))
+            results = list(pool.map(_group_task, groups))
     else:
-        cells = tuple(map(_cell_task, tasks))
-    spec = tasks[0][0]  # holds seed and replicates as checked Python ints
+        results = list(map(_group_task, groups))
+    # results[j][i] is cell (rhos[i], ns[j]); the report is rho-major
+    cells = tuple(cell for row in zip(*results) for cell in row)
+    spec = groups[0][0][0]  # holds seed, replicates and level as checked Python values
     return CoverageReport(
-        seed=spec.seed, level=level, kind=kind, replicates=spec.replicates, cells=cells
+        seed=spec.seed, level=spec.level, kind=kind, replicates=spec.replicates, cells=cells
     )
 
 

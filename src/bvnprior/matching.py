@@ -491,7 +491,7 @@ def verify_score_moments(
                 f"got {len(factors)} factors"
             )
         try:
-            claimed = claim(t, e)
+            claimed = float(claim(t, e))
         except ArithmeticError:  # Python floats raise on some overflows
             claimed = math.inf
         if not math.isfinite(claimed):

@@ -111,14 +111,19 @@ def _eta_upper_tail(n, z):
 
 def _eta_cdf(n, z):
     # I_u(a, b) at u = z^2/(1 + z^2); above z = 1 the tail comes from
-    # v = 1 - u, since u rounds to 1 long before the tail mass is negligible
+    # v = 1 - u, since u rounds to 1 long before the tail mass is negligible.
+    # np.where picks the shapes and 1/u - 1 = 1/z^2 or 1/v - 1 = z^2 per
+    # element, so the masses are one call; 1/z^2 is formed everywhere but
+    # divides by zero only at z = 0, where the near branch divided before.
+    # |far - mass| is 1 - mass where far and mass elsewhere, bit for bit,
+    # and costs less than a third np.where on a mask in random order
     arr = np.asarray(z, dtype=float)
     far = arr > 1.0
-    out = np.empty_like(arr)
-    near = arr[~far]
-    out[~far] = numerics.reg_inc_beta((n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (near * near)))
-    out[far] = 1.0 - _eta_upper_tail(n, arr[far])
-    return _result(out, z)
+    z2 = arr * arr
+    a, b = (n - 1) / 2.0, (n - 2) / 2.0
+    u_or_v = 1.0 / (1.0 + np.where(far, z2, 1.0 / z2))
+    mass = numerics.reg_inc_beta(np.where(far, b, a), np.where(far, a, b), u_or_v)
+    return _result(np.abs(far - mass), z)
 
 
 def _eta_isf(n, q):

@@ -24,7 +24,7 @@ from bvnprior.coverage import (
 )
 import bvnprior.coverage as coverage
 import bvnprior.interval as interval
-from bvnprior.errors import DomainError
+from bvnprior.errors import BracketError, DegenerateDataError, DomainError
 from bvnprior.interval import CredibleInterval, standard_bounds
 from bvnprior.matching import verify_score_moments
 from bvnprior.model import (
@@ -445,3 +445,93 @@ def test_draw_stats_follow_the_exact_laws(n):
         exact[f"{name} vs data"] = stats.ks_2samp(values, data).pvalue
     for name, pvalue in exact.items():
         assert pvalue >= alpha, (n, name, pvalue)
+
+
+def test_numpy_level_is_stored_as_a_python_float():
+    # a numpy scalar level used to reach the CSV as its repr, np.float64(0.95)
+    grid = dict(rhos=(0.5,), ns=(4,), replicates=100)
+    report = run_table(level=np.float64(0.95), **grid)
+    assert type(report.level) is float and type(report.cells[0].level) is float
+    assert type(CoverageCellSpec(rho=0.5, n=4, level=np.float64(0.95)).level) is float
+    assert "np." not in report.to_csv()
+    assert report.to_csv() == run_table(level=0.95, **grid).to_csv()
+    assert report.to_markdown() == run_table(level=0.95, **grid).to_markdown()
+
+
+def _assert_same_cell(cell, alone):
+    for field in ("rho", "n", "kind", "level", "replicates"):
+        assert getattr(cell, field) == getattr(alone, field)
+    assert cell.coverage == alone.coverage
+    assert cell.stderr == alone.stderr
+    assert cell.replicates_used == alone.replicates_used
+    assert cell.failures == alone.failures
+    assert cell.error == alone.error
+    assert set(cell.cdf_values) == set(alone.cdf_values)
+    for param, values in cell.cdf_values.items():
+        assert np.array_equal(values, alone.cdf_values[param])
+    if cell.ok:
+        assert ks_uniformity(cell) == ks_uniformity(alone)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["hpd", "equal_tailed", "lower_one_sided"])
+def test_table_cells_equal_cells_run_alone(kind, workers):
+    # run_table evaluates the cells of one n together; every step is
+    # elementwise, so each cell is bit-identical to run_cell on its own
+    rhos, ns = (-0.6, 0.25, 0.9), (4, 8, 10**6)
+    report = run_table(rhos=rhos, ns=ns, level=0.9, replicates=150, kind=kind, seed=19,
+                       workers=workers)
+    assert report.all_ok
+    for k, (cell, (rho, n)) in enumerate(zip(report.cells, [(r, n) for r in rhos for n in ns])):
+        spec = CoverageCellSpec(rho=rho, n=n, level=0.9, replicates=150, kind=kind, seed=19)
+        _assert_same_cell(cell, run_cell(spec, k))
+
+
+def test_a_failed_bounds_lookup_fails_only_its_n(monkeypatch):
+    grid = dict(rhos=(0.25, 0.5), ns=(4, 8, 12), replicates=150, seed=23)
+    healthy = run_table(**grid)
+    lookup = coverage.standard_bounds
+
+    def failing(family, n, level, kind):
+        if n == 8:
+            raise BracketError("no sign change at n = 8")
+        return lookup(family, n, level, kind)
+
+    monkeypatch.setattr(coverage, "standard_bounds", failing)
+    report = run_table(**grid)
+    for cell, reference in zip(report.cells, healthy.cells):
+        if cell.n == 8:
+            assert not cell.ok and cell.error == "no sign change at n = 8"
+            assert (cell.replicates_used, cell.failures) == (0, 150)
+        else:
+            _assert_same_cell(cell, reference)
+    with pytest.raises(BracketError, match="no sign change at n = 8"):
+        run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=150, seed=23), 4)
+
+
+def test_a_degenerate_cell_fails_alone_within_its_group(monkeypatch):
+    grid = dict(rhos=(0.25, 0.5, 0.75), ns=(4, 8), replicates=150, seed=29)
+    healthy = run_table(**grid)
+    draw = coverage._draw_stats
+
+    def degenerate_at(rho, n, replicates, rng):
+        s11, s12, s22_1 = draw(rho, n, replicates, rng)
+        if (rho, n) == (0.5, 8):
+            s11 = np.zeros_like(s11)
+        if (rho, n) == (0.75, 8):  # every other replicate
+            s22_1 = np.where(np.arange(replicates) % 2, s22_1, 0.0)
+        return s11, s12, s22_1
+
+    monkeypatch.setattr(coverage, "_draw_stats", degenerate_at)
+    report = run_table(**grid)
+    for k, (cell, reference) in enumerate(zip(report.cells, healthy.cells)):
+        if (cell.rho, cell.n) == (0.5, 8):
+            assert not cell.ok and cell.error == "every replicate was degenerate"
+        elif (cell.rho, cell.n) == (0.75, 8):
+            assert (cell.replicates_used, cell.failures) == (75, 75)
+            spec = CoverageCellSpec(rho=0.75, n=8, replicates=150, seed=29)
+            _assert_same_cell(cell, run_cell(spec, k))
+        else:
+            _assert_same_cell(cell, reference)
+    with pytest.raises(DegenerateDataError, match="every replicate was degenerate"):
+        run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=150, seed=29), 3)

@@ -989,3 +989,14 @@ def test_moment_gate_stderr_matches_the_exact_variance(theta, eta, seed):
         sd_error = math.sqrt((central4 / var ** 2 - 1.0) / (4 * n))
         assert abs(check.stderr / math.sqrt(var / n) - 1.0) <= 5.0 * sd_error, label
 
+
+def test_numpy_float_params_report_python_float_claims():
+    # a claim computed from numpy scalars used to reach the CSV as its repr,
+    # np.float64(1.02880658436214)
+    values = (1.0, -2.0, 0.3, 1.2, 0.9)
+    checks = verify_score_moments(OrthogonalParams(*map(np.float64, values)), 100_000, seed=4)
+    assert all(type(c.claimed) is float for c in checks)
+    text = moment_report_csv(checks)
+    assert "np." not in text and "1.02880658436214" in text
+    python_floats = verify_score_moments(OrthogonalParams(*values), 100_000, seed=4)
+    assert text == moment_report_csv(python_floats)

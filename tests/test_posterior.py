@@ -8,6 +8,7 @@ no code with the closed forms under test.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from bvnprior.posterior import (
     theta_posterior,
 )
 from bvnprior.model import SufficientStats
+from bvnprior.numerics import reg_inc_beta
 
 REF = SufficientStats(n=10, xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0, s22_1=4.0)
 
@@ -330,3 +332,40 @@ def test_eta_quantile_of_tiny_p_round_trips(n):
         upper = float(SQRT_BETA_PRIME.isf(n, p))
         assert math.isfinite(upper) and upper > 1.0
         assert _eta_upper_tail(n, upper) == pytest.approx(p, rel=1e-12)
+
+
+def _eta_cdf_two_calls(n, z):
+    """The eta CDF as two masked reg_inc_beta calls, near and far from 0."""
+    arr = np.asarray(z, dtype=float)
+    far = arr > 1.0
+    out = np.empty_like(arr)
+    near = arr[~far]
+    out[~far] = reg_inc_beta((n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (near * near)))
+    out[far] = 1.0 - _eta_upper_tail(n, arr[far])
+    return out
+
+
+def _with_warnings(f, *args):
+    """f(*args) and the floating-point events it warned of, e.g. "divide by zero"."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = f(*args)
+    return out, {str(w.message).split(" encountered")[0] for w in caught}
+
+
+ETA_CDF_POINTS = [0.0, 5e-324, 1e-200, 0.5, 1.0, math.nextafter(1.0, 2.0), 3.0, 1e9, math.inf]
+
+
+@pytest.mark.parametrize("n", [3, 4, 25, 10**6])
+def test_eta_cdf_in_one_call_equals_the_two_call_form(n):
+    # SQRT_BETA_PRIME.cdf forms both branches' arguments and calls
+    # reg_inc_beta once; it must give the same bits, and warn only where
+    # the two-call form warned
+    zs = [*ETA_CDF_POINTS, np.array(ETA_CDF_POINTS)]
+    for z in [*zs, np.array(ETA_CDF_POINTS[4:6])]:
+        got, new_warnings = _with_warnings(SQRT_BETA_PRIME.cdf, n, z)
+        want, old_warnings = _with_warnings(_eta_cdf_two_calls, n, z)
+        assert new_warnings <= old_warnings, (z, new_warnings - old_warnings)
+        assert type(got) is (float if np.ndim(z) == 0 else np.ndarray)
+        assert np.asarray(got).tobytes() == want.tobytes(), z
+    assert SQRT_BETA_PRIME.cdf(3, 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
