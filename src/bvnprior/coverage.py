@@ -56,7 +56,7 @@ from .interval import _check_kind, standard_bounds
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
 from .model import OriginalParams, sample, sufficient_stats, to_orthogonal  # noqa: F401
-from .numerics import _check_count, _check_level
+from .numerics import _check_count, _check_level, _sp
 from .posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
 __all__ = [
@@ -363,6 +363,7 @@ def run_table(
     workers = min(workers, len(groups))
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
+        _sp()  # load scipy.special once here, so forked workers inherit it
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_group_task, groups))
     else:

@@ -123,6 +123,9 @@ class SufficientStats:
     def __post_init__(self):
         if self.n < 3:
             raise DomainError("inference needs n >= 3 observations")
+        sums = (self.xbar1, self.xbar2, self.s11, self.s22, self.s12, self.s22_1)
+        if not all(map(math.isfinite, sums)):
+            raise DomainError("sufficient statistics must be finite")
         if not self.s11 > 0.0:
             raise DegenerateDataError("s11 must be positive")
         if self.s22 < 0.0 or self.s22_1 < 0.0:
@@ -247,10 +250,12 @@ def sample(p: OriginalParams, n: int, seed: int) -> np.ndarray:
     Construction: Z1, Z2 iid standard normal,
     X1 = mu1 + sigma1 Z1, X2 = mu2 + sigma2 (rho Z1 + sqrt(1-rho^2) Z2).
     Returns an (n, 2) array; n >= 1 and seed >= 0 are integers (else DomainError).
+    A draw that overflows a float raises FloatingPointError.
     """
     z1, z2 = _normals(n, seed).T
-    x1 = p.mu1 + p.sigma1 * z1
-    x2 = p.mu2 + p.sigma2 * (p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)
+    with np.errstate(over="raise", invalid="raise"):
+        x1 = p.mu1 + p.sigma1 * z1
+        x2 = p.mu2 + p.sigma2 * (p.rho * z1 + math.sqrt(1.0 - p.rho * p.rho) * z2)
     return np.stack((x1, x2), axis=-1)
 
 
@@ -284,7 +289,8 @@ def sufficient_stats(data) -> SufficientStats:
     d2 - (s12/s11) d1 rather than taken as s22 - s12^2/s11, which cancels
     catastrophically for nearly collinear data. On exactly collinear data
     the residuals are rounding noise, so s22_1 counts as 0 where it is at
-    most n * eps * s22.
+    most n * eps * s22. A mean or sum that overflows a float raises
+    FloatingPointError.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -295,16 +301,18 @@ def sufficient_stats(data) -> SufficientStats:
     if n < 3:
         raise DegenerateDataError("inference needs n >= 3 observations")
     x1, x2 = arr[:, 0], arr[:, 1]
-    xbar1, xbar2 = float(x1.mean()), float(x2.mean())
-    d1 = x1 - xbar1
-    d2 = x2 - xbar2
-    s11 = float((d1 * d1).sum())
-    if s11 <= 0.0:
-        raise DegenerateDataError("all x1 values coincide (s11 = 0)")
-    s22 = float((d2 * d2).sum())
-    s12 = float((d1 * d2).sum())
-    resid = d2 - (s12 / s11) * d1
-    s22_1 = float((resid * resid).sum())
+    with np.errstate(over="raise", invalid="raise"):
+        xbar1, xbar2 = float(x1.mean()), float(x2.mean())
+        d1 = x1 - xbar1
+        d2 = x2 - xbar2
+        s11 = float((d1 * d1).sum())
+        if s11 <= 0.0:
+            raise DegenerateDataError("all x1 values coincide (s11 = 0)")
+        s22 = float((d2 * d2).sum())
+        s12 = float((d1 * d2).sum())
+        # a numpy division, so that an overflowing slope raises as well
+        resid = d2 - (np.float64(s12) / s11) * d1
+        s22_1 = float((resid * resid).sum())
     if s22_1 <= n * np.finfo(float).eps * s22:
         raise DegenerateDataError("pairs are exactly collinear (s22.1 = 0)")
     return SufficientStats(

@@ -7,8 +7,10 @@ gives the rest of the package a single place to swap implementations.
 Every posterior quantity is a closed form in these functions; the
 adaptive quadrature `integrate` is not called by the package.
 find_root(f, lo, hi) is Brent's method on two plain floats, to an
-absolute tolerance of 1e-12. The scipy solvers behind find_root and
-integrate are imported at their first call.
+absolute tolerance of 1e-12. Importing this module loads no scipy:
+scipy.special is imported at the first special-function call (through
+_sp), and the solvers behind find_root and integrate at their first call,
+so `import bvnprior` loads numpy only.
 
 The ten special functions share one argument rule and one return rule.
 Every shape parameter (a, b, df) must be finite and > 0; a probability p,
@@ -27,12 +29,12 @@ numpy integer, not a bool, in a stated range (_check_count).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import BracketError, DomainError, NumericalError
 
@@ -96,6 +98,13 @@ def _check_count(value, name, minimum, below=math.inf):
     return int(value)
 
 
+@functools.cache
+def _sp():
+    """scipy.special, imported at the first special-function call."""
+    from scipy import special
+    return special
+
+
 def _result(out, *args):
     """float when every argument is 0-d, the array otherwise."""
     return float(out) if all(np.ndim(a) == 0 for a in args) else out
@@ -104,13 +113,13 @@ def _result(out, *args):
 def log_gamma(a):
     """Natural log of the gamma function, a > 0."""
     (a,) = _require("log_gamma", a)
-    return _result(_sp.gammaln(a), a)
+    return _result(_sp().gammaln(a), a)
 
 
 def log_beta(a, b):
     """Natural log of the beta function B(a, b), a, b > 0."""
     a, b = _require("log_beta", a, b)
-    return _result(_sp.betaln(a, b), a, b)
+    return _result(_sp().betaln(a, b), a, b)
 
 
 def reg_inc_gamma(a, x):
@@ -119,7 +128,7 @@ def reg_inc_gamma(a, x):
     x = np.asarray(x, dtype=float)
     if not (x >= 0.0).all():
         raise DomainError("reg_inc_gamma requires x >= 0")
-    return _result(_sp.gammainc(a, x), a, x)
+    return _result(_sp().gammainc(a, x), a, x)
 
 
 def reg_inc_gamma_c(a, x):
@@ -128,28 +137,28 @@ def reg_inc_gamma_c(a, x):
     x = np.asarray(x, dtype=float)
     if not (x >= 0.0).all():
         raise DomainError("reg_inc_gamma_c requires x >= 0")
-    return _result(_sp.gammaincc(a, x), a, x)
+    return _result(_sp().gammaincc(a, x), a, x)
 
 
 def reg_inc_gamma_inv(a, p):
     """Inverse of P(a, .): returns x with P(a, x) = p."""
     (a,) = _require("reg_inc_gamma_inv", a)
     p = _check_prob(p)
-    return _result(_sp.gammaincinv(a, p), a, p)
+    return _result(_sp().gammaincinv(a, p), a, p)
 
 
 def reg_inc_gamma_c_inv(a, p):
     """Inverse of Q(a, .): returns x with Q(a, x) = p."""
     (a,) = _require("reg_inc_gamma_c_inv", a)
     p = _check_prob(p)
-    return _result(_sp.gammainccinv(a, p), a, p)
+    return _result(_sp().gammainccinv(a, p), a, p)
 
 
 def reg_inc_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b), a, b > 0, x in [0, 1]."""
     a, b = _require("reg_inc_beta", a, b)
     x = _check_prob(x, "x")
-    return _result(_sp.betainc(a, b, x), a, b, x)
+    return _result(_sp().betainc(a, b, x), a, b, x)
 
 
 def reg_inc_beta_inv(a, b, p):
@@ -162,11 +171,11 @@ def reg_inc_beta_inv(a, b, p):
     """
     a, b = _require("reg_inc_beta_inv", a, b)
     p = _check_prob(p)
-    out = np.asarray(_sp.betaincinv(a, b, p))
+    out = np.asarray(_sp().betaincinv(a, b, p))
     lost = np.isnan(out) | ((p > 0.0) & (p < np.finfo(float).tiny))
     if lost.any():
         la, lb, lp = (np.broadcast_to(v, out.shape)[lost] for v in (a, b, p))
-        out[lost] = np.exp((np.log(lp) + np.log(la) + _sp.betaln(la, lb)) / la)
+        out[lost] = np.exp((np.log(lp) + np.log(la) + _sp().betaln(la, lb)) / la)
     return _result(out, a, b, p)
 
 
@@ -185,7 +194,7 @@ def student_t_cdf(df, t):
     half = df / 2.0
     t2 = t * t
     near = t2 < df
-    mass = _sp.betainc(
+    mass = _sp().betainc(
         np.where(near, 0.5, half), np.where(near, half, 0.5), np.where(near, t2, df) / (df + t2)
     )
     far = np.where(t >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
@@ -207,8 +216,8 @@ def student_t_quantile(df, p):
     half = df / 2.0
     tail = 2.0 * np.minimum(p, 1.0 - p)
     with np.errstate(divide="ignore"):
-        x = _sp.betainccinv(0.5, half, tail)
-        z = _sp.betaincinv(half, 0.5, tail)
+        x = _sp().betainccinv(0.5, half, tail)
+        z = _sp().betaincinv(half, 0.5, tail)
         mag = np.sqrt(df * np.where(x <= 0.5, x / (1.0 - x), (1.0 - z) / z))
     out = np.where(p >= 0.5, mag, -mag)
     return _result(out, df, p)

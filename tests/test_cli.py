@@ -22,7 +22,15 @@ from bvnprior.matching import MATCHING_PRIOR, GridSpec, residual_report_csv, ver
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 # modules that only some calls need; importing the package must not load them
-LAZY_MODULES = ("scipy.stats", "scipy.optimize", "scipy.integrate", "concurrent.futures.process")
+LAZY_MODULES = (
+    "scipy.special",
+    "scipy.stats",
+    "scipy.optimize",
+    "scipy.integrate",
+    "concurrent.futures.process",
+)
+# what `python -m bvnprior.cli ARGV` runs, for a fresh interpreter
+RUN_CLI = "import runpy; runpy.run_module('bvnprior.cli', run_name='__main__', alter_sys=True)"
 
 
 def run_cli(capsys, *argv):
@@ -452,6 +460,26 @@ def test_extreme_inputs_exit_cleanly(capsys, argv):
         assert err.splitlines()[-1].startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("sample", "--n", "50", "--seed", "2", "--sigma2", "1e308", "--output", "{out}"),
+        ("stats", "--input", "{huge}"),
+        ("posterior", "--param", "theta", "--input", "{huge}"),
+        ("interval", "--param", "theta", "--input", "{huge}"),
+    ],
+    ids=["sample", "stats", "posterior", "interval"],
+)
+def test_float_overflow_prints_one_error_line_and_writes_nothing(tmp_path, capsys, argv):
+    # sigma2 = 1e308 overflows some draws, and the centred sums of squares
+    # of these rows overflow a float
+    huge, out_path = tmp_path / "huge.csv", tmp_path / "out.csv"
+    huge.write_text("x1,x2\n1e200,2e200\n-1e200,3e200\n2e200,-1e200\n5e199,1e199\n")
+    code, out, err = run_cli(capsys, *(arg.format(huge=huge, out=out_path) for arg in argv))
+    assert (code, out) == (4, "") and not out_path.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 @pytest.mark.parametrize("sigma1", ["1e100", "1e150", "1e300", "1e-150"])
 def test_verify_lemma_float_failure_prints_one_error_line(capsys, sigma1):
     # pyproject.toml turns numpy's floating-point warnings into errors, so a
@@ -650,16 +678,21 @@ def run_fresh(*args):
     )
 
 
-def lazy_modules_loaded(statement, *argv):
-    """Exit status and the LAZY_MODULES loaded by a fresh interpreter running statement."""
+def modules_loaded(statement, *argv):
+    """Exit status and the names of all modules loaded by a fresh interpreter running statement."""
     probe = (
         "import atexit, sys\n"
-        f"atexit.register(lambda: print('lazy:', *(m for m in {LAZY_MODULES!r} "
-        "if m in sys.modules), file=sys.stderr))\n"
+        "atexit.register(lambda: print('loaded:', *sys.modules, file=sys.stderr))\n"
         + statement
     )
     proc = run_fresh("-c", probe, *argv)
     return proc.returncode, set(proc.stderr.splitlines()[-1].split()[1:])
+
+
+def lazy_modules_loaded(statement, *argv):
+    """Exit status and the LAZY_MODULES loaded by a fresh interpreter running statement."""
+    code, loaded = modules_loaded(statement, *argv)
+    return code, loaded & set(LAZY_MODULES)
 
 
 @pytest.mark.parametrize("demo", sorted(DEMOS.glob("*.py")), ids=lambda path: path.name)
@@ -693,19 +726,48 @@ def test_import_loads_no_lazy_module(module):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
-        (("interval", "--param", "eta", "--kind", "equal_tailed"), set()),
-        (("interval", "--param", "theta", "--kind", "lower_one_sided"), set()),
-        (("posterior", "--param", "eta"), set()),
-        (("interval", "--param", "eta", "--kind", "hpd"), {"scipy.optimize"}),
+        (("interval", "--param", "eta", "--kind", "equal_tailed"), {"scipy.special"}),
+        (("interval", "--param", "theta", "--kind", "lower_one_sided"), {"scipy.special"}),
+        (("posterior", "--param", "eta"), {"scipy.special"}),
+        (("interval", "--param", "eta", "--kind", "hpd"), {"scipy.special", "scipy.optimize"}),
     ],
     ids=["equal_tailed", "one_sided", "posterior", "hpd"],
 )
 def test_only_hpd_root_finding_loads_scipy_optimize(dataset, argv, loaded):
-    # what `python -m bvnprior.cli ARGV` runs
+    assert lazy_modules_loaded(RUN_CLI, *argv, "--input", str(dataset)) == (0, loaded)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("sample", "--n", "5"), 0),
+        (("stats", "--input", "{data}"), 0),
+        (("verify-lemma", "--samples", "100000"), 0),
+        (("verify-prior",), 0),
+        (("--help",), 0),
+        (("sample", "--n", "many"), 2),
+    ],
+    ids=["sample", "stats", "verify-lemma", "verify-prior", "help", "usage-error"],
+)
+def test_commands_without_special_functions_load_no_scipy(dataset, argv, code):
+    argv = [arg.format(data=dataset) for arg in argv]
+    status, loaded = modules_loaded(RUN_CLI, *argv)
+    assert status == code
+    assert not any(name.split(".")[0] == "scipy" for name in loaded)
+
+
+def test_parallel_run_table_in_a_fresh_interpreter_equals_the_serial_table():
+    # the parent loads scipy.special before it forks the workers
     statement = (
-        "import runpy; runpy.run_module('bvnprior.cli', run_name='__main__', alter_sys=True)"
+        "import sys\n"
+        "from bvnprior.coverage import run_table\n"
+        "assert not any(m.split('.')[0] == 'scipy' for m in sys.modules)\n"
+        "kw = dict(rhos=(0.25, 0.5), ns=(4, 8), replicates=300, seed=31)\n"
+        "parallel = run_table(workers=2, **kw).to_csv()\n"
+        "assert 'scipy.special' in sys.modules\n"
+        "sys.exit(parallel != run_table(workers=1, **kw).to_csv())"
     )
-    assert lazy_modules_loaded(statement, *argv, "--input", str(dataset)) == (0, loaded)
+    assert modules_loaded(statement)[0] == 0
 
 
 def test_serial_run_table_loads_no_process_pool():

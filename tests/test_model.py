@@ -15,6 +15,7 @@ from bvnprior.errors import DegenerateDataError, DomainError
 from bvnprior.model import (
     OriginalParams,
     OrthogonalParams,
+    SufficientStats,
     fisher_information,
     log_density,
     log_density_partial,
@@ -268,6 +269,12 @@ def test_sample_validates_n():
         sample(p, 5, seed=-1)
 
 
+def test_sample_raises_on_a_draw_that_overflows():
+    p = OriginalParams(0.0, 0.0, 1.0, 1e308, 0.0)
+    with pytest.raises(FloatingPointError):
+        sample(p, 50, seed=2)
+
+
 def test_sufficient_stats_hand_case():
     data = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
     st = sufficient_stats(data)
@@ -295,6 +302,31 @@ def test_sufficient_stats_rejects_small_or_degenerate_samples():
     x1 = np.array([0.1, 0.7, 1.3, 2.9, 3.3, 5.17])
     with pytest.raises(DegenerateDataError):
         sufficient_stats(np.column_stack([x1, 0.3 * x1 + 0.1]))
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        # the products of the centred values overflow
+        [[1e200, 2e200], [-1e200, 3e200], [2e200, -1e200], [5e199, 1e199]],
+        # the sum behind the mean of x1 overflows
+        [[1.7e308, 0.0], [1.7e308, 1.0], [0.0, 2.0]],
+        # s11 is subnormal, so the slope s12/s11 overflows
+        [[0.0, 0.0], [1e-160, 1e150], [3e-160, -1e150]],
+    ],
+    ids=["products", "mean", "slope"],
+)
+def test_sufficient_stats_raises_on_float_overflow(data):
+    with pytest.raises(FloatingPointError):
+        sufficient_stats(np.array(data))
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("field", ["xbar1", "xbar2", "s11", "s22", "s12", "s22_1"])
+def test_sufficient_stats_rejects_non_finite_fields(field, value):
+    fields = dict(n=10, xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0, s22_1=4.0)
+    with pytest.raises(DomainError, match="must be finite"):
+        SufficientStats(**{**fields, field: value})
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
