@@ -9,7 +9,8 @@ Two independent kinds of evidence are produced:
   the exact log-density partials of model._partial, which depend on a draw
   only through its residuals u ~ N(0, theta eta) and v ~ N(0, theta/eta);
   those are drawn from their law, from the normals sample() would use, so
-  the means do not enter. Each integrand is built in two reused buffers.
+  the means do not enter. Each integrand is built in two reused buffers;
+  one with a factor of beta order 3 is identically zero and costs no pass.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for the posterior
@@ -30,8 +31,10 @@ grid is taken in blocks of whole beta planes, at most _BLOCK_POINTS
 points (or one plane) each; a block's partials are one PriorPartials of
 arrays, shared by every identity, and each row is one array pass over
 the block. Analytic partials are one call on broadcastable axes per
-block, finite differences 13 log_prior calls per point. A NaN residual
-anywhere fails its identity.
+block; finite differences evaluate each of their 13 stencils over the
+whole block, one log_prior call per point, and take each axis's first
+and second differences once per block. A NaN residual anywhere fails its
+identity.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import io
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
+from itertools import product, starmap
 from operator import add, attrgetter, mul
 from typing import Callable
 
@@ -106,7 +110,8 @@ class PriorSpec:
     *density* (not the log density). verify_prior calls it once per block
     with arrays beta (n, 1, 1), theta (1, m, 1) and eta (1, 1, k), and each
     field must broadcast to (n, m, k); without it, partials are taken by
-    finite differences of exp(log_prior), one np.float64 point at a time.
+    finite differences of exp(log_prior), which is called with np.float64
+    coordinates, one point at a time.
     """
 
     name: str
@@ -277,44 +282,50 @@ CONDITIONS = {
 CONDITION_IDS = tuple(CONDITIONS)
 
 
-def _fd_plane(log_prior, b, theta_ax, eta_ax) -> PriorPartials:
-    """Prior partials on the plane beta = b by 4th-order central differences.
+def _fd_block(log_prior, b, theta_ax, eta_ax) -> PriorPartials:
+    """Prior partials on the beta planes b by 4th-order central differences.
 
     Step 1e-4 * max(1, |coordinate|), clamped so theta and eta stay
     positive across the 5-point stencil. 4th-order stencils keep the
     truncation error of the stiffest identity below 1e-7 on the default
     grid, which 3-point stencils at the same step do not. The centre and
-    the +-h, +-2h points of each axis are evaluated once and shared by
-    the first and second differences: 13 log_prior calls per point, on
-    numpy float64 coordinates. The differences are array arithmetic in
-    the order of the scalar formulas, so each value rounds as a pointwise
-    stencil's does.
+    the +-h, +-2h points of each axis are evaluated once over the whole
+    block and shared by the first and second differences: 13 log_prior
+    calls per point, on numpy float64 coordinates boxed once per stencil.
+    An axis's four shifted stencils are held only while its differences
+    are taken. The differences are array arithmetic in the order of the
+    scalar formulas, so each value rounds as a pointwise stencil's does.
     """
+    shape = (b.size, theta_ax.size, eta_ax.size)
 
     def steps(x, positive):
         h = 1e-4 * np.maximum(1.0, np.abs(x))
         return np.minimum(h, x / 4.0) if positive else h
 
-    def pi(b, thetas, etas):
-        values = [math.exp(log_prior(b, t, e)) for t in thetas for e in etas]
-        return np.array(values).reshape(len(thetas), len(etas))
+    def pi(bs, thetas, etas):
+        # row-major (beta, theta, eta) order, without a Python list of the values
+        values = map(math.exp, starmap(log_prior, product(bs, thetas, etas)))
+        return np.fromiter(values, float, math.prod(shape)).reshape(shape)
+
+    def differences(p2, p1, m1, m2, h):
+        return ((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h),
+                (-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h))
 
     hb, ht, he = steps(b, False), steps(theta_ax, True), steps(eta_ax, True)
-    centre = pi(b, theta_ax, eta_ax)
-    shifts = (2, 1, -1, -2)
+    bs, ts, es = list(b), list(theta_ax), list(eta_ax)
+    centre = pi(bs, ts, es)
     stencils = (
-        ([pi(b + k * hb, theta_ax, eta_ax) for k in shifts], hb),
-        ([pi(b, theta_ax + k * ht, eta_ax) for k in shifts], ht[:, None]),
-        ([pi(b, theta_ax, eta_ax + k * he) for k in shifts], he),
+        (lambda k: pi(list(b + k * hb), ts, es), hb[:, None, None]),
+        (lambda k: pi(bs, list(theta_ax + k * ht), es), ht[:, None]),
+        (lambda k: pi(bs, ts, list(eta_ax + k * he)), he),
     )
-    d1, d2 = [], []
     # as in Python float arithmetic, an overflow or an invalid operation
     # gives inf or NaN without a warning
     with np.errstate(all="ignore"):
-        for (p2, p1, m1, m2), h in stencils:
-            d1.append((-p2 + 8 * p1 - 8 * m1 + m2) / (12 * h))
-            d2.append((-p2 + 16 * p1 - 30 * centre + 16 * m1 - m2) / (12 * h * h))
-    return PriorPartials(centre, *d1, *d2)
+        (b1, b2), (t1, t2), (e1, e2) = (
+            differences(*map(stencil, (2, 1, -1, -2)), h) for stencil, h in stencils
+        )
+    return PriorPartials(centre, b1, t1, e1, b2, t2, e2)
 
 
 @dataclass(frozen=True)
@@ -346,8 +357,7 @@ _BLOCK_POINTS = 1 << 16  # grid points held at a time, but at least one beta pla
 def _block_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
     """The prior's partials on the beta planes b, as (b.size, theta, eta) arrays."""
     if prior.analytic_partials is None:
-        planes = [_PARTIAL_VALUES(_fd_plane(prior.log_prior, x, theta_ax, eta_ax)) for x in b]
-        return PriorPartials(*map(np.stack, zip(*planes)))
+        return _fd_block(prior.log_prior, b, theta_ax, eta_ax)
     shape = (b.size, theta_ax.size, eta_ax.size)
     p = prior.analytic_partials(b[:, None, None], theta_ax[None, :, None], eta_ax[None, None, :])
     return PriorPartials(*(np.broadcast_to(np.asarray(f, float), shape)
@@ -472,14 +482,15 @@ def verify_score_moments(
     the corresponding product of log-density derivatives for each identity.
     The partials are exact (model._partial) and built from residual powers
     shared by all identities, so a check passes when
-    |estimate - claim| <= 4 * stderr; an identically zero integrand gives
-    estimate 0 with stderr 0. n_samples must be an integer >= 100000 and
-    seed an integer >= 0 (else DomainError). A claimed value that is not a
-    finite float at (theta, eta) raises NumericalError, and an entry of
-    _MOMENTS that is not one partial, a pair or a cube raises
-    NotImplementedError, both before any sampling; a floating-point
-    overflow, division by zero or invalid operation in the integrands
-    raises FloatingPointError.
+    |estimate - claim| <= 4 * stderr. An integrand with a factor of beta
+    order 3 is identically zero, as log f is quadratic in beta: it gives
+    estimate 0 with stderr 0 and costs no pass over the samples. n_samples
+    must be an integer >= 100000 and seed an integer >= 0 (else
+    DomainError). A claimed value that is not a finite float at
+    (theta, eta) raises NumericalError, and an entry of _MOMENTS that is
+    not one partial, a pair or a cube raises NotImplementedError, both
+    before any sampling; a floating-point overflow, division by zero or
+    invalid operation in the integrands raises FloatingPointError.
     """
     n_samples = _check_count(n_samples, "n_samples", 100_000)
     t, e = params.theta, params.eta
@@ -515,16 +526,22 @@ def verify_score_moments(
         checks = [None] * len(factors)
         for k in sorted(range(len(factors)), key=lambda k: needs_scratch[factors[k][-1]]):
             first, *rest = factors[k]
-            vals = _partial(powers, t, e, first, out=a, scratch=b)
-            if rest == [first, first]:  # a cube, (P * P) * P
-                vals = np.multiply(a, a, out=b)
-                vals *= a
-            elif rest:
-                vals *= _partial(powers, t, e, rest[0], out=b, scratch=powers[1])
-            estimate = float(np.mean(vals))
-            # np.std's sum of squares without its copy: vals is not used again
-            vals -= estimate
-            stderr = math.sqrt(float(np.dot(vals, vals)) / (n_samples - 1)) / math.sqrt(n_samples)
+            if any(f[0] == 3 for f in factors[k]):
+                # log f is quadratic in beta, so the integrand is identically 0
+                estimate = stderr = 0.0
+            else:
+                vals = _partial(powers, t, e, first, out=a, scratch=b)
+                if rest == [first, first]:  # a cube, (P * P) * P
+                    vals = np.multiply(a, a, out=b)
+                    vals *= a
+                elif rest:
+                    vals *= _partial(powers, t, e, rest[0], out=b, scratch=powers[1])
+                # np.mean's sum and division, without its Python wrapper
+                estimate = float(np.add.reduce(vals)) / n_samples
+                # np.std's sum of squares without its copy: vals is not used again
+                vals -= estimate
+                variance = float(np.dot(vals, vals)) / (n_samples - 1)
+                stderr = math.sqrt(variance) / math.sqrt(n_samples)
             passed = abs(estimate - claims[k]) <= 4.0 * stderr
             checks[k] = ExpectationCheck(_MOMENTS[k][0], claims[k], estimate, stderr, n_samples, passed)
     return checks

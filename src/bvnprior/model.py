@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, NumericalError
 from .numerics import _check_count, _result
 
 __all__ = [
@@ -290,7 +290,8 @@ def sufficient_stats(data) -> SufficientStats:
     catastrophically for nearly collinear data. On exactly collinear data
     the residuals are rounding noise, so s22_1 counts as 0 where it is at
     most n * eps * s22. A mean or sum that overflows a float raises
-    FloatingPointError.
+    FloatingPointError, and a column whose squared deviations all underflow
+    to 0 although its values differ raises NumericalError.
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -307,8 +308,12 @@ def sufficient_stats(data) -> SufficientStats:
         d2 = x2 - xbar2
         s11 = float((d1 * d1).sum())
         if s11 <= 0.0:
+            if d1.any():
+                raise NumericalError("the squared deviations of x1 underflow to 0 (s11 = 0)")
             raise DegenerateDataError("all x1 values coincide (s11 = 0)")
         s22 = float((d2 * d2).sum())
+        if s22 <= 0.0 and d2.any():
+            raise NumericalError("the squared deviations of x2 underflow to 0 (s22 = 0)")
         s12 = float((d1 * d2).sum())
         # a numpy division, so that an overflowing slope raises as well
         resid = d2 - (np.float64(s12) / s11) * d1

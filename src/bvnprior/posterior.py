@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from . import numerics
-from .errors import DegenerateDataError, DomainError
+from .errors import DegenerateDataError, DomainError, NumericalError
 from .model import SufficientStats
 from .numerics import _result
 
@@ -208,8 +208,15 @@ class PosteriorDistribution:
         if stats.s22_1 <= 0.0:
             raise DegenerateDataError("s22.1 must be positive")
         self.stats = stats
-        location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
+        # a pivot that leaves the float range shows as inf or 0, not as a warning
+        with np.errstate(all="ignore"):
+            location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
         self.location, self.scale = float(location), float(scale)
+        if not (math.isfinite(self.location) and math.isfinite(self.scale) and self.scale > 0.0):
+            raise NumericalError(
+                f"the {self.param_id} posterior (location {self.location!r}, scale "
+                f"{self.scale!r}) leaves the float range at this data scale"
+            )
         self._log_norm = self.family.log_norm(stats.n) - math.log(self.scale)
 
     def _z(self, x):

@@ -490,6 +490,76 @@ def test_verify_lemma_float_failure_prints_one_error_line(capsys, sigma1):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+_FOUR_ROWS = ((1.0, 2.0), (-1.0, 3.0), (2.0, -1.0), (0.5, 0.1))
+
+
+def _four_rows(tmp_path, s1, s2):
+    """The four rows with x1 times s1 and x2 times s2, as a CSV path."""
+    path = tmp_path / f"rows_{s1!r}_{s2!r}.csv"
+    path.write_text("x1,x2\n" + "".join(f"{a * s1!r},{b * s2!r}\n" for a, b in _FOUR_ROWS))
+    return str(path)
+
+
+_POSTERIOR_REQUESTS = (("posterior",), ("interval", "--level", "0.9"))
+
+
+def _close(got, expected):
+    """JSON payloads equal up to a relative 1e-12 in every float."""
+    if isinstance(expected, dict):
+        return got.keys() == expected.keys() and all(_close(got[k], expected[k]) for k in expected)
+    if isinstance(expected, float):
+        return got == pytest.approx(expected, rel=1e-12)
+    return got == expected
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e150])
+def test_posterior_scales_outside_the_float_range_exit_4(tmp_path, capsys, scale):
+    # r = sqrt(S11 S22.1) underflows at 1e-150 and overflows at 1e150, and
+    # w's scale is 1/r; beta and eta do not depend on the common scale
+    path = _four_rows(tmp_path, scale, scale)
+    for param in ("theta", "w"):
+        for command in _POSTERIOR_REQUESTS:
+            code, out, err = run_cli(capsys, *command, "--input", path, "--param", param)
+            assert (code, out) == (4, "")
+            assert len(err.splitlines()) == 1
+            assert err.startswith("error: the ") and "leaves the float range" in err
+    unscaled = _four_rows(tmp_path, 1.0, 1.0)
+    for param in ("beta", "eta"):
+        for command in _POSTERIOR_REQUESTS:
+            code, out, err = run_cli(capsys, *command, "--input", path, "--param", param)
+            assert (code, err) == (0, "")
+            _, expected, _ = run_cli(capsys, *command, "--input", unscaled, "--param", param)
+            assert _close(json.loads(out), json.loads(expected))
+
+
+# the commands that compute the sufficient statistics of their input
+_STATS_REQUESTS = [("stats",)] + [(*command, "--param", "eta") for command in _POSTERIOR_REQUESTS]
+
+
+@pytest.mark.parametrize("s1, s2, column, sums", [
+    (1e-170, 1e-170, "x1", "s11"),
+    (1.0, 1e-170, "x2", "s22"),
+], ids=["x1", "x2"])
+def test_squared_deviations_that_underflow_exit_4(tmp_path, capsys, s1, s2, column, sums):
+    # the data vary, but every squared deviation of one column underflows
+    path = _four_rows(tmp_path, s1, s2)
+    for command in _STATS_REQUESTS:
+        code, out, err = run_cli(capsys, *command, "--input", path)
+        assert (code, out) == (4, "")
+        assert err == f"error: the squared deviations of {column} underflow to 0 ({sums} = 0)\n"
+
+
+def test_coincident_and_collinear_data_keep_exit_3(tmp_path, capsys):
+    coincident = tmp_path / "coincident.csv"
+    coincident.write_text("x1,x2\n1e-170,1\n1e-170,3\n1e-170,-1\n")
+    constant_x2 = _four_rows(tmp_path, 1.0, 0.0)
+    for path, message in ((coincident, "all x1 values coincide (s11 = 0)"),
+                          (constant_x2, "pairs are exactly collinear (s22.1 = 0)")):
+        for command in _STATS_REQUESTS:
+            code, out, err = run_cli(capsys, *command, "--input", str(path))
+            assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
 def test_verify_lemma_rejects_an_unrepresentable_claim_before_sampling(capsys, monkeypatch):
     # eta is about 8.7e149 here, so the claimed 1/eta^3 overflows a float
     draws = []

@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import cache, reduce
+from itertools import product
 from operator import mul
 
 import numpy as np
@@ -28,7 +29,7 @@ from bvnprior.matching import (
     PriorPartials,
     PriorSpec,
     ResidualReport,
-    _fd_plane,
+    _fd_block,
     moment_report_csv,
     moment_report_table,
     pde_residual,
@@ -294,13 +295,15 @@ def test_score_moments_do_not_depend_on_the_table_order(permute, monkeypatch):
 
 def test_pairs_whose_second_factor_needs_a_scratch_equal_the_reference(monkeypatch):
     # cross pairs that read uv in one factor and need a v^2 scratch in the
-    # other, in both factor orders, placed after the pure theta pair
+    # other, in both factor orders, placed after the pure theta pair, and
+    # pairs with an identically zero factor of beta order 3
     zero = lambda t, e: 0.0  # noqa: E731
     cross = tuple(
         (f"cross {k}", factors, zero)
         for k, factors in enumerate([
             ((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (1, 0, 0)),
             ((2, 0, 0), (0, 0, 1)), ((0, 0, 1), (1, 1, 0)),
+            ((3, 0, 0), (0, 1, 0)), ((0, 0, 2), (3, 0, 0)),
         ])
     )
     moments = _theta_pair_first(_MOMENTS)[:1] + cross + _theta_pair_first(_MOMENTS)[1:]
@@ -311,6 +314,28 @@ def test_pairs_whose_second_factor_needs_a_scratch_equal_the_reference(monkeypat
     monkeypatch.setattr(matching, "_MOMENTS", moments)
     checks = verify_score_moments(point, 100_000, seed=6)
     assert [(c.estimate, c.stderr) for c in checks] == expected
+
+
+def test_identically_zero_integrands_make_no_pass(monkeypatch):
+    # log f is quadratic in beta, so a factor of beta order 3 makes the
+    # integrand 0 without a partial being built
+    orders = []
+    partial = matching._partial
+
+    def recorded(powers, t, e, factor, **buffers):
+        orders.append(factor)
+        return partial(powers, t, e, factor, **buffers)
+
+    zero_pairs = (("zero pair", ((3, 0, 0), (0, 1, 0)), lambda t, e: 0.0),
+                  ("zero, claimed 1", ((0, 0, 1), (3, 0, 0)), lambda t, e: 1.0))
+    monkeypatch.setattr(matching, "_partial", recorded)
+    monkeypatch.setattr(matching, "_MOMENTS", _MOMENTS + zero_pairs)
+    checks = {c.label: c for c in verify_score_moments(POINT, 100_000, seed=8)}
+    assert (3, 0, 0) not in orders
+    for label in ("E[d3l/dbeta3]", "zero pair", "zero, claimed 1"):
+        check = checks[label]
+        assert (check.estimate, check.stderr) == (0.0, 0.0)
+        assert check.passed == (check.claimed == 0.0)
 
 
 @pytest.mark.parametrize("factors", [
@@ -446,25 +471,34 @@ EQUALITY_GRIDS = (
 )
 
 
-# extreme points as 1x1 planes: a beta step below and above its floor, a
-# theta step clamped to theta / 4, and an eta step clamped to eta / 4
-EXTREME_PLANES = [
-    (b, np.array([t]), np.array([e]))
+# extreme points as one-point blocks: a beta step below and above its
+# floor, a theta step clamped to theta / 4, and an eta step clamped to eta / 4
+EXTREME_BLOCKS = [
+    (np.array([b]), np.array([t]), np.array([e]))
     for b, t, e in [(-2.0, 0.5, 0.5), (0.3, 1.7, 2.9), (1e-9, 4e-4, 3.0), (15.0, 2.0, 1e-3)]
 ]
-GRID_PLANES = [
-    (b, theta_ax, eta_ax)
-    for beta_ax, theta_ax, eta_ax in (grid.axes() for grid in EQUALITY_GRIDS)
-    for b in beta_ax
-]
+# every beta plane of a grid in one block
+GRID_BLOCKS = [grid.axes() for grid in EQUALITY_GRIDS]
 
 
 def _bits(x):
     return np.float64(x).view(np.uint64)
 
 
+def _assert_pointwise_stencil(partials, log_prior, beta_ax, theta_ax, eta_ax):
+    """Each field of partials, (beta, theta, eta) arrays, is bit-equal to
+    the 28-call stencil's at its point; the stencils run in row-major order."""
+    axes = (enumerate(beta_ax), enumerate(theta_ax), enumerate(eta_ax))
+    for (i, b), (j, t), (m, e) in product(*axes):
+        expected = reference_fd_partials(log_prior, b, t, e)
+        for name in PriorPartials.__dataclass_fields__:
+            got = getattr(partials, name)[i, j, m]
+            assert _bits(got) == _bits(getattr(expected, name)), (name, b, t, e)
+
+
 @pytest.mark.parametrize("log_prior", [MATCHING_PRIOR.log_prior, FLAT_PRIOR.log_prior, _skewed_log_prior])
 def test_fd_plane_equals_28_call_stencil_with_13_calls_a_point(log_prior):
+    # _fd_block evaluates each stencil over a block of beta planes
     def recording(calls):
         def counted(b, t, e):
             calls.append((b, t, e))
@@ -472,21 +506,16 @@ def test_fd_plane_equals_28_call_stencil_with_13_calls_a_point(log_prior):
             return log_prior(b, t, e)
         return counted
 
-    for b, theta_ax, eta_ax in EXTREME_PLANES + GRID_PLANES:
-        b = np.float64(b)
+    for beta_ax, theta_ax, eta_ax in EXTREME_BLOCKS + GRID_BLOCKS:
         calls = []
-        plane = _fd_plane(recording(calls), b, theta_ax, eta_ax)
-        assert len(calls) == len(set(calls)) == 13 * theta_ax.size * eta_ax.size
+        block = _fd_block(recording(calls), beta_ax, theta_ax, eta_ax)
+        assert len(calls) == len(set(calls)) == 13 * beta_ax.size * theta_ax.size * eta_ax.size
         reference_calls = []
-        for i, t in enumerate(theta_ax):
-            for j, e in enumerate(eta_ax):
-                point_calls = []
-                expected = reference_fd_partials(recording(point_calls), b, t, e)
-                assert len(set(point_calls)) == 13
-                reference_calls += point_calls
-                for name in PriorPartials.__dataclass_fields__:
-                    got = getattr(plane, name)[i, j]
-                    assert _bits(got) == _bits(getattr(expected, name)), (name, b, t, e)
+        _assert_pointwise_stencil(block, recording(reference_calls), beta_ax, theta_ax, eta_ax)
+        # 28 calls a point in the reference, 13 of them distinct
+        points = [reference_calls[k:k + 28] for k in range(0, len(reference_calls), 28)]
+        assert len(points) == beta_ax.size * theta_ax.size * eta_ax.size
+        assert all(len(set(point_calls)) == 13 for point_calls in points)
         # the same 13 coordinate triples per point as the pointwise stencil
         assert set(calls) == set(reference_calls)
 
@@ -576,6 +605,28 @@ def test_verify_prior_equals_the_scalar_loop_in_small_blocks(prior, grid, small_
     assert planes == expected
 
 
+@pytest.mark.parametrize("grid", EQUALITY_GRIDS)
+@pytest.mark.parametrize("prior", [MATCHING_FD, FLAT_FD, PriorSpec("skewed-fd", _skewed_log_prior)],
+                         ids=lambda p: p.name)
+def test_fd_partials_equal_the_pointwise_stencil_in_small_blocks(prior, grid, small_blocks,
+                                                                   monkeypatch):
+    # block boundaries fall between every plane, or after every second one
+    planes, expected = small_blocks(grid)
+    blocks = []
+    block_partials = matching._block_partials
+
+    def kept(prior, b, theta_ax, eta_ax):
+        blocks.append(block_partials(prior, b, theta_ax, eta_ax))
+        return blocks[-1]
+
+    monkeypatch.setattr(matching, "_block_partials", kept)
+    assert verify_prior(prior, grid) == _reference_reports(prior, grid)
+    assert planes == expected
+    partials = PriorPartials(*(np.concatenate([getattr(p, name) for p in blocks])
+                               for name in PriorPartials.__dataclass_fields__))
+    _assert_pointwise_stencil(partials, prior.log_prior, *grid.axes())
+
+
 def test_worst_point_ties_go_to_the_first_grid_point():
     # flat hpd_theta_pde is exactly -2 everywhere
     for grid in EQUALITY_GRIDS:
@@ -652,6 +703,20 @@ def test_verify_prior_holds_one_block_at_a_time():
         tracemalloc.stop()
     assert all(r.passed for r in reports)
     assert peak <= 8 * 8 * 2**16
+
+
+def test_finite_differences_hold_each_stencil_only_while_its_axis_needs_it():
+    # two blocks of 2^16 points, within 23 arrays of one block; holding all
+    # twelve shifted stencils of a block until its differences takes 28
+    grid = GridSpec(beta=(-2.0, 2.0, 8), theta=(0.5, 3.0, 128), eta=(0.5, 3.0, 128))
+    tracemalloc.start()
+    try:
+        reports = verify_prior(MATCHING_FD, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(r.passed for r in reports)
+    assert peak <= 23 * 8 * 2**16
 
 
 # the parent table: (label, kind, payload, claim(theta, eta)); kind "cube" is
