@@ -25,13 +25,13 @@ of each, so cost and memory grow with the replicate count and not with n.
 
 Interval construction uses the pivot structure of the posteriors: each
 parameter is location + scale * Z, where pivot() maps every replicate's
-statistics to (location, scale) at once and the law of Z depends only on
-n. The intervals in Z units come from interval.standard_bounds, the
+statistics to (shape, location, scale) at once and the shape of Z depends
+only on n. The intervals in Z units come from interval.standard_bounds, the
 memoized solver the interval API uses too, so each replicate's interval
 is the one hpd_unimodal / equal_tailed / one_sided would return, and
 the posterior CDF at the truth is the family CDF of the true Z.
 
-Since the law of Z depends only on n, run_table evaluates the cells of
+Since the shape of Z depends only on n, run_table evaluates the cells of
 one n as one group. Each cell still draws its own stream, into its
 columns of one array of the group, and loses only its own degenerate
 replicates; each parameter then takes one pivot, one bounds lookup, one
@@ -265,12 +265,12 @@ def _run_group(cells) -> list:
     try:
         hits, cdf_values = {}, {}
         for param, posterior in _POSTERIORS.items():
-            location, scale = posterior.pivot(n, s11, s12, s22_1)
-            lo, hi = standard_bounds(posterior.family, n, level, kind)
+            shape, location, scale = posterior.pivot(n, s11, s12, s22_1)
+            lo, hi = standard_bounds(posterior.family, shape, level, kind)
             value = np.repeat([getattr(truth, param) for truth in truths], used)
             hit = (value >= location + scale * lo) & (value <= location + scale * hi)
             hits[param] = np.add.reduceat(hit, edges[:-1], dtype=np.intp)
-            cdf = np.asarray(posterior.family.cdf(n, (value - location) / scale))
+            cdf = np.asarray(posterior.family.cdf(*shape, (value - location) / scale))
             cdf_values[param] = [cdf[start:stop] for start, stop in zip(edges, edges[1:])]
     except BvnPriorError as exc:
         for k in live:
@@ -302,7 +302,7 @@ def run_cell(spec: CoverageCellSpec, cell_index: int = 0) -> CellResult:
 
     Replicates with degenerate data (s11 <= 0 or s22_1 <= 0) are counted
     as failures and excluded from the denominator. The interval bounds
-    come from interval.standard_bounds, once per (family, n, level, kind).
+    come from interval.standard_bounds, once per (family, shape, level, kind).
     """
     cell_index = _check_count(cell_index, "cell_index", 0, 1 << 64)
     (result,) = _run_group([(spec, cell_index)])

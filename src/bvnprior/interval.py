@@ -1,10 +1,10 @@
 """Credible intervals: HPD, equal-tailed, and one-sided.
 
 Every marginal is location + scale * Z with the law of Z depending only
-on its StandardFamily and n (see posterior), and every interval kind is
-equivariant under that map. standard_bounds therefore solves each
-(family, n, level, kind) once in Z units, memoized for the process (the
-1024 most recent keys), and the interval API and the coverage engine
+on its StandardFamily and shape (see posterior), and every interval kind
+is equivariant under that map. standard_bounds therefore solves each
+(family, shape, level, kind) once in Z units, memoized for the process
+(the 1024 most recent keys), and the interval API and the coverage engine
 both rescale it.
 
 Every kind is a tail split: with alpha = 1 - level, the interval leaves
@@ -96,7 +96,7 @@ def _check_kind(kind: str):
         raise DomainError(f"unknown interval kind {kind!r}")
 
 
-def _solve_hpd(family: StandardFamily, n: int, alpha: float):
+def _solve_hpd(family: StandardFamily, shape: tuple, alpha: float):
     """Bounds (quantile(p), isf(alpha - p)) of the HPD interval of a
     strictly unimodal family, at the split p where the end densities meet.
 
@@ -114,8 +114,8 @@ def _solve_hpd(family: StandardFamily, n: int, alpha: float):
 
     def evaluate(ss):
         p = np.array([alpha / (1.0 + math.exp(-s)) for s in ss])
-        lo, hi = family.quantile(n, p), family.isf(n, alpha - p)
-        gaps = family.log_kernel(n, lo) - family.log_kernel(n, hi)
+        lo, hi = family.quantile(*shape, p), family.isf(*shape, alpha - p)
+        gaps = family.log_kernel(*shape, lo) - family.log_kernel(*shape, hi)
         seen.update(zip(ss, zip(gaps.tolist(), lo.tolist(), hi.tolist())))
 
     def gap(s):
@@ -134,8 +134,8 @@ def _solve_hpd(family: StandardFamily, n: int, alpha: float):
 
 
 @functools.lru_cache(maxsize=1024)
-def standard_bounds(family: StandardFamily, n: int, level: float, kind: str):
-    """Interval endpoints (lo, hi) in Z units for one family, n, level, kind.
+def standard_bounds(family: StandardFamily, shape: tuple, level: float, kind: str):
+    """Interval endpoints (lo, hi) in Z units for one family, shape, level, kind.
 
     An interval of a posterior location + scale * Z is
     (location + scale * lo, location + scale * hi). Every kind returns
@@ -157,15 +157,15 @@ def standard_bounds(family: StandardFamily, n: int, level: float, kind: str):
     }
     with np.errstate(divide="ignore"):
         if kind == "hpd" and not family.symmetric:
-            return _solve_hpd(family, n, alpha)
+            return _solve_hpd(family, shape, alpha)
         p = tails[kind]
-        return float(family.quantile(n, p)), float(family.isf(n, alpha - p))
+        return float(family.quantile(*shape, p)), float(family.isf(*shape, alpha - p))
 
 
 def _interval(dist: PosteriorDistribution, kind: str, level: float) -> CredibleInterval:
     lo, hi = (
         dist.location + dist.scale * b
-        for b in standard_bounds(dist.family, dist.stats.n, level, kind)
+        for b in standard_bounds(dist.family, dist.shape, level, kind)
     )
     upper, lower = dist.cdf([hi, lo]).tolist()
     return CredibleInterval(
@@ -187,7 +187,7 @@ def hpd_unimodal(dist: PosteriorDistribution, level: float) -> CredibleInterval:
     """
     numerics._check_level(level)
     family = dist.family
-    if family.mode(dist.stats.n) <= family.lower:
+    if family.mode(*dist.shape) <= family.lower:
         warnings.warn(
             "density is monotone on its support; returning the one-sided "
             "highest-density region",

@@ -9,20 +9,21 @@ likelihood leaves the joint posterior
 
 with Q(beta) = S22 - 2 beta S12 + beta^2 S11 = S22.1 + S11 (beta - S12/S11)^2.
 Each marginal is an exact pivot: the parameter equals location + scale * Z,
-where (location, scale) come from the sufficient statistics and the law of
-Z is a standard family that depends only on n:
+where the law of Z is a textbook family in its own shape parameters, and
+the shape, location and scale come from the sufficient statistics:
 
-  * beta      : Z ~ Student t with n-2 df,
-                (location, scale) = (S12/S11, sqrt(S22.1 / ((n-2) S11))).
-  * theta     : Z ~ inverted gamma with shape n-2 and scale 1, scale r,
+  * beta      : Z ~ Student t with df = n-2,
+                (location, scale) = (S12/S11, sqrt(S22.1 / (df S11))).
+  * theta     : Z ~ inverted gamma with shape k = n-2 and scale 1, scale r,
                 r = sqrt(S11 S22.1).
-  * w=1/theta : Z ~ gamma with shape n-2 and rate 1, scale 1/r.
-  * eta       : Z^2 ~ beta-prime((n-1)/2, (n-2)/2), scale sqrt(c),
-                c = S22.1/S11; Z^2/(1 + Z^2) is beta((n-1)/2, (n-2)/2).
+  * w=1/theta : Z ~ gamma with shape k = n-2 and rate 1, scale 1/r.
+  * eta       : Z^2 ~ beta-prime(a, b) with (a, b) = ((n-1)/2, (n-2)/2),
+                scale sqrt(c), c = S22.1/S11; Z^2/(1 + Z^2) is beta(a, b).
 
 PosteriorDistribution writes the location-scale algebra once; each subclass
-declares its StandardFamily and its pivot, both of which accept arrays of
-statistics, so the coverage engine uses the same definitions replicate-wise.
+declares its StandardFamily and its pivot, the one map from the statistics
+to (shape, location, scale), which accepts arrays of statistics, so the
+coverage engine uses the same definitions replicate-wise.
 
 A note on the beta scale: the 1/S11 factor inside the scale is easy to drop
 when simplifying Q(beta)/S11, and dropping it silently destroys the
@@ -66,14 +67,15 @@ def _check_level_prob(p):
 
 @dataclass(frozen=True, eq=False)
 class StandardFamily:
-    """Law of the pivot Z as functions of the sample size n.
+    """Law of the pivot Z as functions of its shape parameters (df, k or a, b).
 
-    log_norm(n) + log_kernel(n, z) is the log density of Z on (lower, inf);
-    cdf(n, z), quantile(n, p) and the upper-tail quantile isf(n, q) accept
-    arrays; under np.errstate(divide="ignore") quantile(n, 0) is lower and
-    isf(n, 0) is inf. mean(n) is None where the mean does not exist.
-    symmetric families have the HPD interval that leaves alpha/2 in each
-    tail. Instances hash by identity, so they key the interval memo.
+    log_norm(*shape) + log_kernel(*shape, z) is the log density of Z on
+    (lower, inf); cdf(*shape, z), quantile(*shape, p) and the upper-tail
+    quantile isf(*shape, q) accept arrays; under np.errstate(divide="ignore")
+    quantile(*shape, 0) is lower and isf(*shape, 0) is inf. mean(*shape) is
+    None where the mean does not exist. symmetric families have the HPD
+    interval that leaves alpha/2 in each tail. Instances hash by identity,
+    so they key the interval memo.
     """
 
     log_norm: Callable
@@ -87,29 +89,21 @@ class StandardFamily:
     symmetric: bool = False
 
 
-def _eta_log_beta(n):
-    return numerics.log_beta((n - 1) / 2.0, (n - 2) / 2.0)
-
-
-def _eta_quantile(n, p):
-    # I_u(a, b) = p at u = z^2/(1 + z^2); above the median u rounds to 1
-    # long before 1 - p is negligible, so there v = 1 - u = I^-1_(1-p)(b, a)
-    p = np.asarray(p, dtype=float)
-    upper = p > 0.5
-    a, b = (n - 1) / 2.0, (n - 2) / 2.0
+def _eta_inverse(a, b, mass, upper):
+    # z with P(Z <= z) = mass, or P(Z > z) = mass if upper. P(Z <= z) is
+    # I_u(a, b) at u = z^2/(1 + z^2) and P(Z > z) is I_v(b, a) at v = 1 - u.
+    # The smaller tail is inverted (at 1/2, the one asked for): u or v
+    # rounds to 1 long before the other tail's mass is negligible
+    mass = np.asarray(mass, dtype=float)
+    v_side = (mass > 0.5) != upper
     x = np.asarray(numerics.reg_inc_beta_inv(
-        np.where(upper, b, a), np.where(upper, a, b), np.where(upper, 1.0 - p, p)
+        np.where(v_side, b, a), np.where(v_side, a, b), np.minimum(mass, 1.0 - mass)
     ))
     with np.errstate(divide="ignore"):
-        return np.sqrt(np.where(upper, (1.0 - x) / x, x / (1.0 - x)))
+        return np.sqrt(np.where(v_side, (1.0 - x) / x, x / (1.0 - x)))
 
 
-def _eta_upper_tail(n, z):
-    """P(Z > z) = I_v((n-2)/2, (n-1)/2) at v = 1/(1 + z^2) = 1 - u."""
-    return numerics.reg_inc_beta((n - 2) / 2.0, (n - 1) / 2.0, 1.0 / (1.0 + z * z))
-
-
-def _eta_cdf(n, z):
+def _eta_cdf(a, b, z):
     # I_u(a, b) at u = z^2/(1 + z^2); above z = 1 the tail comes from
     # v = 1 - u, since u rounds to 1 long before the tail mass is negligible.
     # np.where picks the shapes and 1/u - 1 = 1/z^2 or 1/v - 1 = z^2 per
@@ -120,62 +114,62 @@ def _eta_cdf(n, z):
     arr = np.asarray(z, dtype=float)
     far = arr > 1.0
     z2 = arr * arr
-    a, b = (n - 1) / 2.0, (n - 2) / 2.0
     u_or_v = 1.0 / (1.0 + np.where(far, z2, 1.0 / z2))
     mass = numerics.reg_inc_beta(np.where(far, b, a), np.where(far, a, b), u_or_v)
     return _result(np.abs(far - mass), z)
 
 
-def _eta_isf(n, q):
-    v = np.asarray(numerics.reg_inc_beta_inv((n - 2) / 2.0, (n - 1) / 2.0, q))
-    return np.sqrt((1.0 - v) / v)
-
-
+# Student t with df degrees of freedom
 STUDENT_T = StandardFamily(
-    log_norm=lambda n: (
-        numerics.log_gamma((n - 1) / 2.0) - numerics.log_gamma((n - 2) / 2.0)
-        - 0.5 * math.log((n - 2) * math.pi)
+    log_norm=lambda df: (
+        numerics.log_gamma((df + 1) / 2.0) - numerics.log_gamma(df / 2.0)
+        - 0.5 * math.log(df * math.pi)
     ),
-    log_kernel=lambda n, z: -0.5 * (n - 1) * np.log1p(z * z / (n - 2)),
-    cdf=lambda n, z: numerics.student_t_cdf(n - 2, z),
-    quantile=lambda n, p: numerics.student_t_quantile(n - 2, p),
-    isf=lambda n, q: -numerics.student_t_quantile(n - 2, q),
-    mode=lambda n: 0.0,
-    mean=lambda n: 0.0 if n > 3 else None,
+    log_kernel=lambda df, z: -0.5 * (df + 1) * np.log1p(z * z / df),
+    cdf=lambda df, z: numerics.student_t_cdf(df, z),
+    quantile=lambda df, p: numerics.student_t_quantile(df, p),
+    isf=lambda df, q: -numerics.student_t_quantile(df, q),
+    mode=lambda df: 0.0,
+    mean=lambda df: 0.0 if df > 1 else None,
     lower=-math.inf,
     symmetric=True,
 )
 
+# inverse gamma with shape k and scale 1: 1/Z ~ gamma(k)
 INVERSE_GAMMA = StandardFamily(
-    log_norm=lambda n: -numerics.log_gamma(n - 2),
-    log_kernel=lambda n, z: -(n - 1) * np.log(z) - 1.0 / z,
-    cdf=lambda n, z: numerics.reg_inc_gamma_c(n - 2, 1.0 / z),
-    quantile=lambda n, p: 1.0 / np.asarray(numerics.reg_inc_gamma_c_inv(n - 2, p)),
-    isf=lambda n, q: 1.0 / np.asarray(numerics.reg_inc_gamma_inv(n - 2, q)),
-    mode=lambda n: 1.0 / (n - 1),
-    mean=lambda n: 1.0 / (n - 3) if n > 3 else None,
+    log_norm=lambda k: -numerics.log_gamma(k),
+    log_kernel=lambda k, z: -(k + 1) * np.log(z) - 1.0 / z,
+    cdf=lambda k, z: numerics.reg_inc_gamma_c(k, 1.0 / z),
+    quantile=lambda k, p: 1.0 / np.asarray(numerics.reg_inc_gamma_c_inv(k, p)),
+    isf=lambda k, q: 1.0 / np.asarray(numerics.reg_inc_gamma_inv(k, q)),
+    mode=lambda k: 1.0 / (k + 1),
+    mean=lambda k: 1.0 / (k - 1) if k > 1 else None,
 )
 
+# gamma with shape k and rate 1
 GAMMA = StandardFamily(
-    log_norm=lambda n: -numerics.log_gamma(n - 2),
-    log_kernel=lambda n, z: (n - 3) * np.log(z) - z,
-    cdf=lambda n, z: numerics.reg_inc_gamma(n - 2, z),
-    quantile=lambda n, p: numerics.reg_inc_gamma_inv(n - 2, p),
-    isf=lambda n, q: numerics.reg_inc_gamma_c_inv(n - 2, q),
-    # monotone decreasing density when n = 3 (shape 1): boundary mode
-    mode=lambda n: float(max(n - 3, 0)),
-    mean=lambda n: float(n - 2),
+    log_norm=lambda k: -numerics.log_gamma(k),
+    log_kernel=lambda k, z: (k - 1) * np.log(z) - z,
+    cdf=lambda k, z: numerics.reg_inc_gamma(k, z),
+    quantile=lambda k, p: numerics.reg_inc_gamma_inv(k, p),
+    isf=lambda k, q: numerics.reg_inc_gamma_c_inv(k, q),
+    # a monotone decreasing density for k <= 1: boundary mode
+    mode=lambda k: float(max(k - 1, 0)),
+    mean=lambda k: float(k),
 )
 
+# Z > 0 with Z^2 ~ beta-prime(a, b), so Z^2/(1 + Z^2) ~ beta(a, b)
 SQRT_BETA_PRIME = StandardFamily(
-    log_norm=lambda n: math.log(2.0) - _eta_log_beta(n),
-    log_kernel=lambda n, z: (n - 2) * np.log(z) - (n - 1.5) * np.log1p(z * z),
+    log_norm=lambda a, b: math.log(2.0) - numerics.log_beta(a, b),
+    log_kernel=lambda a, b, z: (2 * a - 1) * np.log(z) - (a + b) * np.log1p(z * z),
     cdf=_eta_cdf,
-    quantile=_eta_quantile,
-    isf=_eta_isf,
-    mode=lambda n: math.sqrt((n - 2) / (n - 1)),
-    mean=lambda n: (
-        math.exp(numerics.log_beta(n / 2.0, (n - 3) / 2.0) - _eta_log_beta(n)) if n > 3 else None
+    quantile=lambda a, b, p: _eta_inverse(a, b, p, upper=False),
+    isf=lambda a, b, q: _eta_inverse(a, b, q, upper=True),
+    # a monotone decreasing density for a <= 1/2: boundary mode
+    mode=lambda a, b: math.sqrt(max(2 * a - 1, 0) / (2 * b + 1)),
+    mean=lambda a, b: (
+        math.exp(numerics.log_beta(a + 0.5, b - 0.5) - numerics.log_beta(a, b))
+        if b > 0.5 else None
     ),
 )
 
@@ -187,13 +181,14 @@ class PosteriorDistribution:
     ----------
     param_id : one of "beta", "theta", "precision_w", "eta".
     stats : the SufficientStats the posterior was built from.
-    location, scale : the pivot map at stats.
+    shape, location, scale : the pivot map at stats; shape is the tuple
+        of family shape parameters.
     family : the StandardFamily of Z (class attribute).
 
     Subclasses declare family and pivot(n, s11, s12, s22_1), which returns
-    (location, scale) and accepts arrays of statistics. Methods
+    (shape, location, scale) and accepts arrays of statistics. Methods
     pdf/logpdf/cdf/quantile return a float for a 0-d argument and an
-    array otherwise; mode() and mean() describe the shape.
+    array otherwise; mode() and mean() are the posterior's own.
     """
 
     param_id: str = ""
@@ -210,14 +205,14 @@ class PosteriorDistribution:
         self.stats = stats
         # a pivot that leaves the float range shows as inf or 0, not as a warning
         with np.errstate(all="ignore"):
-            location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
+            self.shape, location, scale = self.pivot(stats.n, stats.s11, stats.s12, stats.s22_1)
         self.location, self.scale = float(location), float(scale)
         if not (math.isfinite(self.location) and math.isfinite(self.scale) and self.scale > 0.0):
             raise NumericalError(
                 f"the {self.param_id} posterior (location {self.location!r}, scale "
                 f"{self.scale!r}) leaves the float range at this data scale"
             )
-        self._log_norm = self.family.log_norm(stats.n) - math.log(self.scale)
+        self._log_norm = self.family.log_norm(*self.shape) - math.log(self.scale)
 
     def _z(self, x):
         arr = np.asarray(x, dtype=float)
@@ -229,7 +224,7 @@ class PosteriorDistribution:
         z = self._z(x)
         inside = z > self.family.lower
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            kernel = self.family.log_kernel(self.stats.n, np.where(inside, z, 1.0))
+            kernel = self.family.log_kernel(*self.shape, np.where(inside, z, 1.0))
         return _result(np.where(inside, self._log_norm + kernel, -math.inf), x)
 
     def pdf(self, x):
@@ -239,18 +234,18 @@ class PosteriorDistribution:
     def cdf(self, x):
         z = np.maximum(self._z(x), self.family.lower)
         with np.errstate(divide="ignore"):
-            return _result(self.family.cdf(self.stats.n, z), x)
+            return _result(self.family.cdf(*self.shape, z), x)
 
     def quantile(self, p):
         _check_level_prob(p)
-        z = np.asarray(self.family.quantile(self.stats.n, p), dtype=float)
+        z = np.asarray(self.family.quantile(*self.shape, p), dtype=float)
         return _result(self.location + self.scale * z, p)
 
     def mode(self):
-        return self.location + self.scale * self.family.mode(self.stats.n)
+        return self.location + self.scale * self.family.mode(*self.shape)
 
     def mean(self):
-        m = self.family.mean(self.stats.n)
+        m = self.family.mean(*self.shape)
         return None if m is None else self.location + self.scale * m
 
 
@@ -262,11 +257,12 @@ class BetaPosterior(PosteriorDistribution):
 
     @staticmethod
     def pivot(n, s11, s12, s22_1):
-        return s12 / s11, np.sqrt(s22_1 / ((n - 2) * s11))
+        df = n - 2
+        return (df,), s12 / s11, np.sqrt(s22_1 / (df * s11))
 
     @property
     def df(self) -> int:
-        return self.stats.n - 2
+        return self.shape[0]
 
 
 class ThetaPosterior(PosteriorDistribution):
@@ -277,7 +273,7 @@ class ThetaPosterior(PosteriorDistribution):
 
     @staticmethod
     def pivot(n, s11, s12, s22_1):
-        return 0.0, np.sqrt(s11 * s22_1)
+        return (n - 2,), 0.0, np.sqrt(s11 * s22_1)
 
 
 class PrecisionPosterior(PosteriorDistribution):
@@ -288,17 +284,17 @@ class PrecisionPosterior(PosteriorDistribution):
 
     @staticmethod
     def pivot(n, s11, s12, s22_1):
-        return 0.0, 1.0 / np.sqrt(s11 * s22_1)
+        return (n - 2,), 0.0, 1.0 / np.sqrt(s11 * s22_1)
 
 
 class EtaPosterior(PosteriorDistribution):
     """Marginal posterior of eta, the conditional-to-marginal spread ratio.
 
     Density ~ eta^(n-2) (eta^2 + c)^-(n-3/2) with c = S22.1/S11, so
-    eta = sqrt(c) Z with Z^2 beta-prime((n-1)/2, (n-2)/2): the normalizer
-    is 2 / B(a, b) in Z units, the CDF is I_u(a, b) at
+    eta = sqrt(c) Z with Z^2 beta-prime(a, b), (a, b) = ((n-1)/2, (n-2)/2):
+    the normalizer is 2 / B(a, b) in Z units, the CDF is I_u(a, b) at
     u = Z^2/(1 + Z^2), and the mean is sqrt(c) B(a+1/2, b-1/2)/B(a, b)
-    for n >= 4.
+    for b > 1/2, i.e. n >= 4.
     """
 
     param_id = "eta"
@@ -306,7 +302,7 @@ class EtaPosterior(PosteriorDistribution):
 
     @staticmethod
     def pivot(n, s11, s12, s22_1):
-        return 0.0, np.sqrt(s22_1 / s11)
+        return ((n - 1) / 2.0, (n - 2) / 2.0), 0.0, np.sqrt(s22_1 / s11)
 
 
 def beta_posterior(stats: SufficientStats) -> BetaPosterior:

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import special, stats
+from scipy import stats
 from scipy.integrate import quad
 
 import bvnprior.coverage as coverage
@@ -40,7 +40,6 @@ from bvnprior.posterior import (
     BetaPosterior,
     EtaPosterior,
     PrecisionPosterior,
-    StandardFamily,
     ThetaPosterior,
     beta_posterior,
     eta_posterior,
@@ -162,7 +161,7 @@ def test_acceptance_posterior_cdf_uniformity(full_table):
 
 def _slope_scale_without_1_over_s11(monkeypatch):
     def pivot(n, s11, s12, s22_1):
-        return s12 / s11, np.sqrt(s22_1 / (n - 2))
+        return (n - 2,), s12 / s11, np.sqrt(s22_1 / (n - 2))
 
     monkeypatch.setattr(BetaPosterior, "pivot", staticmethod(pivot))
 
@@ -171,19 +170,10 @@ def _eta_exponent_off_by_one(monkeypatch):
     # density eta^(n-1) (eta^2 + c)^-(n-3/2) in place of eta^(n-2) (...):
     # the posterior of a prior that lost its 1/eta factor, with
     # Z^2 ~ beta-prime(n/2, (n-3)/2) instead of ((n-1)/2, (n-2)/2)
-    def shapes(n):
-        return n / 2.0, (n - 3) / 2.0
+    def pivot(n, s11, s12, s22_1):
+        return (n / 2.0, (n - 3) / 2.0), 0.0, np.sqrt(s22_1 / s11)
 
-    family = StandardFamily(
-        log_norm=lambda n: math.log(2.0) - special.betaln(*shapes(n)),
-        log_kernel=lambda n, z: (n - 1) * np.log(z) - (n - 1.5) * np.log1p(z * z),
-        cdf=lambda n, z: stats.betaprime.cdf(np.square(z), *shapes(n)),
-        quantile=lambda n, p: np.sqrt(stats.betaprime.ppf(p, *shapes(n))),
-        isf=lambda n, q: np.sqrt(stats.betaprime.isf(q, *shapes(n))),
-        mode=lambda n: math.sqrt((n - 1) / (n - 2)),
-        mean=lambda n: None,
-    )
-    monkeypatch.setattr(EtaPosterior, "family", family)
+    monkeypatch.setattr(EtaPosterior, "pivot", staticmethod(pivot))
 
 
 def _theta_and_precision_swapped(monkeypatch):

@@ -124,8 +124,8 @@ POINT = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
         lambda: sample(UNIT, 5, True),
         lambda: verify_score_moments(POINT, 100_000, seed=1.5),
         lambda: CredibleInterval("beta", "hpd", 1e-17, 0.0, 1.0, 0.5),
-        lambda: standard_bounds(BetaPosterior.family, 8, 1e-17, "equal_tailed"),
-        lambda: standard_bounds(BetaPosterior.family, 8, 0.95, "central"),
+        lambda: standard_bounds(BetaPosterior.family, (6,), 1e-17, "equal_tailed"),
+        lambda: standard_bounds(BetaPosterior.family, (6,), 0.95, "central"),
     ],
     ids=[
         "cell_n_float", "cell_replicates_float", "cell_seed_2**64", "cell_seed_negative",
@@ -203,11 +203,11 @@ def test_hits_are_invariant_to_the_data_scales(c1, c2):
     for posterior in (BetaPosterior, ThetaPosterior, EtaPosterior):
         param = posterior.param_id
         for kind in interval.KINDS:
-            lo, hi = standard_bounds(posterior.family, n, level, kind)
             hits = []
             for stats_, value in (((s11, s12, s22_1), getattr(unit, param)),
                                   (scaled, getattr(truth, param))):
-                location, scale = posterior.pivot(n, *stats_)
+                shape, location, scale = posterior.pivot(n, *stats_)
+                lo, hi = standard_bounds(posterior.family, shape, level, kind)
                 hits.append((value >= location + scale * lo) & (value <= location + scale * hi))
             assert np.array_equal(hits[0], hits[1]), (param, kind)
             assert 0 < hits[0].sum() < hits[0].size
@@ -353,11 +353,12 @@ def _reference_cell(spec, cell_index):
     normals = rng.standard_normal(spec.replicates)
     chi_c = rng.chisquare(spec.n - 2, spec.replicates)
     root = math.sqrt(1.0 - spec.rho * spec.rho)
-    beta_b, theta_b, eta_b = (
-        standard_bounds(cls.family, spec.n, spec.level, spec.kind)
-        for cls in (BetaPosterior, ThetaPosterior, EtaPosterior)
-    )
     nu = spec.n - 2
+    beta_b, theta_b, eta_b = (
+        standard_bounds(cls.family, shape, spec.level, spec.kind)
+        for cls, shape in ((BetaPosterior, (nu,)), (ThetaPosterior, (nu,)),
+                           (EtaPosterior, ((spec.n - 1) / 2.0, nu / 2.0)))
+    )
     hits = {"beta": 0, "theta": 0, "eta": 0}
     cdf = {"beta": [], "theta": [], "eta": []}
     failures = 0
@@ -491,11 +492,13 @@ def test_a_failed_bounds_lookup_fails_only_its_n(monkeypatch):
     grid = dict(rhos=(0.25, 0.5), ns=(4, 8, 12), replicates=150, seed=23)
     healthy = run_table(**grid)
     lookup = coverage.standard_bounds
+    shapes_at_8 = {cls.pivot(8, 1.0, 0.0, 1.0)[0]
+                   for cls in (BetaPosterior, ThetaPosterior, EtaPosterior)}
 
-    def failing(family, n, level, kind):
-        if n == 8:
+    def failing(family, shape, level, kind):
+        if shape in shapes_at_8:
             raise BracketError("no sign change at n = 8")
-        return lookup(family, n, level, kind)
+        return lookup(family, shape, level, kind)
 
     monkeypatch.setattr(coverage, "standard_bounds", failing)
     report = run_table(**grid)

@@ -172,7 +172,7 @@ def test_intervals_rescale_the_standard_bounds(
     )
     dist = POSTERIORS[param](st)
     iv = _solve(dist, level, kind)
-    lo, hi = standard_bounds(dist.family, n, level, kind)
+    lo, hi = standard_bounds(dist.family, dist.shape, level, kind)
     assert (iv.lo, iv.hi) == (dist.location + dist.scale * lo, dist.location + dist.scale * hi)
     assert iv.achieved_mass == dist.cdf(iv.hi) - dist.cdf(iv.lo)
     assert abs(iv.achieved_mass - level) <= 1e-9
@@ -301,19 +301,21 @@ def test_beta_hpd_at_a_tiny_level_keeps_its_mass(level):
 ])
 def test_hpd_solve_evaluates_each_tail_mass_once(param, n, level):
     # a copied family hashes apart from the original, so the memo is cold
-    family = _dist(param).family
+    dist = POSTERIORS[param](replace(REF, n=n))
+    family = dist.family
     calls = []
 
     def counted(name, f):
-        def call(n_, q):
-            out = f(n_, q)
+        def call(*shape_and_q):
+            out = f(*shape_and_q)
+            q = shape_and_q[-1]
             calls.append((name, np.atleast_1d(q).tolist(), np.atleast_1d(out).tolist()))
             return out
         return call
 
     cold = replace(family, quantile=counted("quantile", family.quantile),
                    isf=counted("isf", family.isf))
-    lo, hi = standard_bounds(cold, n, level, "hpd")
+    lo, hi = standard_bounds(cold, dist.shape, level, "hpd")
     masses, bounds = {}, {}
     for name in ("quantile", "isf"):
         masses[name] = [q for called, qs, _ in calls if called == name for q in qs]

@@ -6,14 +6,17 @@ integrates the rest numerically with scipy.integrate.quad, so it shares
 no code with the closed forms under test.
 """
 
+import importlib.util
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from bvnprior import numerics
 from bvnprior.cli import main
 from bvnprior.errors import DomainError
 from bvnprior.model import (
@@ -28,7 +31,10 @@ from bvnprior.posterior import (
     INVERSE_GAMMA,
     SQRT_BETA_PRIME,
     STUDENT_T,
-    _eta_upper_tail,
+    BetaPosterior,
+    EtaPosterior,
+    PrecisionPosterior,
+    ThetaPosterior,
     beta_posterior,
     eta_posterior,
     precision_posterior,
@@ -260,88 +266,125 @@ def test_zero_d_arguments_give_floats(make):
         assert type(out) is np.ndarray and out.shape == (1,)
 
 
-def _upper_tail_by_mpmath(mpmath, family, n, z):
+# the posterior whose pivot gives each family its shape
+POSTERIORS = {
+    "t": BetaPosterior,
+    "inverse_gamma": ThetaPosterior,
+    "gamma": PrecisionPosterior,
+    "eta": EtaPosterior,
+}
+FAMILIES = {name: posterior.family for name, posterior in POSTERIORS.items()}
+
+
+def _shape(name, n):
+    """The family's shape in the posterior at sample size n."""
+    return POSTERIORS[name].pivot(n, 1.0, 0.0, 1.0)[0]
+
+
+def _eta_upper_tail(a, b, z):
+    """P(Z > z) = I_v(b, a) at v = 1/(1 + z^2) = 1 - u."""
+    return reg_inc_beta(b, a, 1.0 / (1.0 + z * z))
+
+
+def _upper_tail_by_mpmath(mpmath, family, shape, z):
     """P(Z > z) for each standard family, by mpmath's incomplete functions."""
     z = mpmath.mpf(z)
     if family is STUDENT_T:  # z > 0
-        df = mpmath.mpf(n - 2)
+        df = mpmath.mpf(shape[0])
         return mpmath.betainc(df / 2, mpmath.mpf(1) / 2, 0, df / (df + z * z), regularized=True) / 2
     if family is INVERSE_GAMMA:
-        return mpmath.gammainc(n - 2, 0, 1 / z, regularized=True)
+        return mpmath.gammainc(shape[0], 0, 1 / z, regularized=True)
     if family is GAMMA:
-        return mpmath.gammainc(n - 2, z, mpmath.inf, regularized=True)
-    a, b = mpmath.mpf(n - 1) / 2, mpmath.mpf(n - 2) / 2
+        return mpmath.gammainc(shape[0], z, mpmath.inf, regularized=True)
+    a, b = (mpmath.mpf(x) for x in shape)
     return mpmath.betainc(b, a, 0, 1 / (1 + z * z), regularized=True)
-
-
-FAMILIES = {"t": STUDENT_T, "inverse_gamma": INVERSE_GAMMA, "gamma": GAMMA, "eta": SQRT_BETA_PRIME}
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 @pytest.mark.parametrize("n", [3, 4, 10, 200])
 def test_upper_tail_quantile_matches_mpmath(name, n):
     mpmath = pytest.importorskip("mpmath")
-    family = FAMILIES[name]
+    family, shape = FAMILIES[name], _shape(name, n)
     for q in (0.3, 1e-8, 1e-30):
-        z = float(family.isf(n, q))
+        z = float(family.isf(*shape, q))
         with mpmath.workdps(50):
             exact = mpmath.findroot(
-                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, family, n, x)) - mpmath.log(q),
+                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, family, shape, x))
+                - mpmath.log(q),
                 mpmath.mpf(z),
             )
             assert abs(z - exact) <= 1e-12 * exact
     with np.errstate(divide="ignore"):
-        assert float(family.quantile(n, 0.0)) == family.lower
-        assert float(family.isf(n, 0.0)) == math.inf
+        assert float(family.quantile(*shape, 0.0)) == family.lower
+        assert float(family.isf(*shape, 0.0)) == math.inf
 
 
 @pytest.mark.parametrize("n", [3, 4, 10])
 def test_eta_quantile_near_one_matches_mpmath(n):
     mpmath = pytest.importorskip("mpmath")
+    shape = _shape("eta", n)
     for p in (0.75, 0.975, 1.0 - 1e-8, 1.0 - 1e-9, 1.0 - 1e-12):
-        z = float(SQRT_BETA_PRIME.quantile(n, p))
+        z = float(SQRT_BETA_PRIME.quantile(*shape, p))
         with mpmath.workdps(50):
             q = 1 - mpmath.mpf(p)
             exact = mpmath.findroot(
-                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, n, x))
+                lambda x: mpmath.log(_upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, shape, x))
                 - mpmath.log(q),
                 mpmath.mpf(z),
             )
             assert abs(z - exact) <= 1e-12 * exact, (p, z)
 
 
+@pytest.mark.parametrize("shape", [(0.5, 0.5), (0.5, 1.0), (0.5, 1.5), (0.5, 2.5)])
+def test_eta_isf_above_the_median_at_a_half(shape):
+    # at a = 1/2 the small lower tail 1 - q leaves v = I^-1_q(b, a) within
+    # 1e-16 of 1 (at (1/2, 3/2) and q = 1 - 9.4e-9 it rounded to 1 and isf
+    # returned 0), so isf inverts I_u(a, b) at 1 - q above the median
+    mpmath = pytest.importorskip("mpmath")
+    for q in (0.5, 0.75, 1.0 - 1e-6, 1.0 - 9.4e-9, 1.0 - 1e-12):
+        z = float(SQRT_BETA_PRIME.isf(*shape, q))
+        assert abs(1.0 - SQRT_BETA_PRIME.cdf(*shape, z) - q) <= 1e-15, (q, z)
+        # the lower tail P(Z <= z) = I_u(a, b) at u = z^2/(1 + z^2), exactly
+        with mpmath.workdps(50):
+            x, lower = mpmath.mpf(z), 1 - mpmath.mpf(q)
+            mass = mpmath.betainc(*shape, 0, x * x / (1 + x * x), regularized=True)
+            assert abs(mass - lower) <= 1e-12 * lower, (q, z)
+
+
 @pytest.mark.parametrize("n", [3, 4, 10])
 def test_eta_far_upper_tail_matches_mpmath(n):
     mpmath = pytest.importorskip("mpmath")
+    shape = _shape("eta", n)
     for z in (1e3, 1e6, 1e9):
         with mpmath.workdps(50):
-            exact = _upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, n, z)
-            assert abs(_eta_upper_tail(n, z) - exact) <= 1e-12 * exact
-        assert SQRT_BETA_PRIME.cdf(n, z) == 1.0 - _eta_upper_tail(n, z)
+            exact = _upper_tail_by_mpmath(mpmath, SQRT_BETA_PRIME, shape, z)
+            assert abs(_eta_upper_tail(*shape, z) - exact) <= 1e-12 * exact
+        assert SQRT_BETA_PRIME.cdf(*shape, z) == 1.0 - _eta_upper_tail(*shape, z)
     # the tail near 1e-9 must survive in the cdf, not round it to 1
-    assert SQRT_BETA_PRIME.cdf(3, 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
+    assert SQRT_BETA_PRIME.cdf(*_shape("eta", 3), 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
 
 
 @pytest.mark.parametrize("n", [7, 8, 9, 10, 11])
 def test_eta_quantile_of_tiny_p_round_trips(n):
     # scipy's incomplete-beta inverse gives NaN here; quantile and isf may not
+    shape = _shape("eta", n)
     for p in (1e-130, 1e-200, 1e-300):
-        z = float(SQRT_BETA_PRIME.quantile(n, p))
+        z = float(SQRT_BETA_PRIME.quantile(*shape, p))
         assert 0.0 < z < 1.0
-        assert float(SQRT_BETA_PRIME.cdf(n, z)) == pytest.approx(p, rel=1e-12)
-        upper = float(SQRT_BETA_PRIME.isf(n, p))
+        assert float(SQRT_BETA_PRIME.cdf(*shape, z)) == pytest.approx(p, rel=1e-12)
+        upper = float(SQRT_BETA_PRIME.isf(*shape, p))
         assert math.isfinite(upper) and upper > 1.0
-        assert _eta_upper_tail(n, upper) == pytest.approx(p, rel=1e-12)
+        assert _eta_upper_tail(*shape, upper) == pytest.approx(p, rel=1e-12)
 
 
-def _eta_cdf_two_calls(n, z):
+def _eta_cdf_two_calls(a, b, z):
     """The eta CDF as two masked reg_inc_beta calls, near and far from 0."""
     arr = np.asarray(z, dtype=float)
     far = arr > 1.0
     out = np.empty_like(arr)
     near = arr[~far]
-    out[~far] = reg_inc_beta((n - 1) / 2.0, (n - 2) / 2.0, 1.0 / (1.0 + 1.0 / (near * near)))
-    out[far] = 1.0 - _eta_upper_tail(n, arr[far])
+    out[~far] = reg_inc_beta(a, b, 1.0 / (1.0 + 1.0 / (near * near)))
+    out[far] = 1.0 - _eta_upper_tail(a, b, arr[far])
     return out
 
 
@@ -361,11 +404,43 @@ def test_eta_cdf_in_one_call_equals_the_two_call_form(n):
     # SQRT_BETA_PRIME.cdf forms both branches' arguments and calls
     # reg_inc_beta once; it must give the same bits, and warn only where
     # the two-call form warned
+    shape = _shape("eta", n)
     zs = [*ETA_CDF_POINTS, np.array(ETA_CDF_POINTS)]
     for z in [*zs, np.array(ETA_CDF_POINTS[4:6])]:
-        got, new_warnings = _with_warnings(SQRT_BETA_PRIME.cdf, n, z)
-        want, old_warnings = _with_warnings(_eta_cdf_two_calls, n, z)
+        got, new_warnings = _with_warnings(SQRT_BETA_PRIME.cdf, *shape, z)
+        want, old_warnings = _with_warnings(_eta_cdf_two_calls, *shape, z)
         assert new_warnings <= old_warnings, (z, new_warnings - old_warnings)
         assert type(got) is (float if np.ndim(z) == 0 else np.ndarray)
         assert np.asarray(got).tobytes() == want.tobytes(), z
-    assert SQRT_BETA_PRIME.cdf(3, 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
+    assert SQRT_BETA_PRIME.cdf(*_shape("eta", 3), 1e9) == pytest.approx(1.0 - 1e-9, abs=1e-16)
+
+
+def _bench_special_functions():
+    """SPECIAL_FUNCTIONS of bench/spans.py: the numerics names the benchmark traces."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans.SPECIAL_FUNCTIONS
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_families_reach_numerics_through_the_module_attribute(name, monkeypatch):
+    # the benchmark counts special-function calls by wrapping numerics.<name>,
+    # so a family that bound a function at import would go uncounted;
+    # log_beta, which the benchmark does not trace, is held to the same rule
+    calls = []
+    for fname in (*_bench_special_functions(), "log_beta"):
+        original = getattr(numerics, fname)
+
+        def counted(*args, _fname=fname, _original=original):
+            calls.append(_fname)
+            return _original(*args)
+
+        monkeypatch.setattr(numerics, fname, counted)
+    family, shape = FAMILIES[name], _shape(name, 10)
+    for method, args in (("log_norm", ()), ("cdf", (0.7,)), ("quantile", (0.3,)),
+                         ("isf", (0.3,))):
+        del calls[:]
+        getattr(family, method)(*shape, *args)
+        assert calls, (name, method)

@@ -1,5 +1,6 @@
 """Property-based round trips: cdf(quantile(p)) and 1 - cdf(isf(q)) for every
-standard family (and for the t at df 1e9), and the original <-> orthogonal
+standard family, at the shapes the posteriors' pivots give, at shapes off
+that line, and for the t at df 1e9; and the original <-> orthogonal
 parameter maps."""
 
 import math
@@ -10,9 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as hs
 
 from bvnprior.model import OriginalParams, to_original, to_orthogonal
-from bvnprior.posterior import GAMMA, INVERSE_GAMMA, SQRT_BETA_PRIME, STUDENT_T
+from bvnprior.posterior import BetaPosterior, EtaPosterior, PrecisionPosterior, ThetaPosterior
 
-FAMILIES = {"t": STUDENT_T, "inverse_gamma": INVERSE_GAMMA, "gamma": GAMMA, "eta": SQRT_BETA_PRIME}
+# the posterior whose pivot gives each family its shape
+POSTERIORS = {
+    "t": BetaPosterior,
+    "inverse_gamma": ThetaPosterior,
+    "gamma": PrecisionPosterior,
+    "eta": EtaPosterior,
+}
 
 
 def _log_uniform(lo, hi):
@@ -33,31 +40,46 @@ PROBABILITIES = hs.one_of(
 
 
 SIZES = hs.sampled_from((3, 4, 5, 10, 50, 1000, 100_000))
+HALVES = hs.integers(1, 40).map(lambda k: k / 2.0)  # 0.5, 1, 1.5, ..., 20
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+def _shapes(name):
+    """The family's shapes in the posterior at SIZES, and half-integer shapes
+    off that line: df or k in 0.5..20, eta (a, b) with |a - b| <= 2."""
+    on_line = SIZES.map(lambda n: POSTERIORS[name].pivot(n, 1.0, 0.0, 1.0)[0])
+    if name == "eta":
+        off_line = hs.tuples(HALVES, hs.integers(-4, 4)).map(
+            lambda d: (d[0], d[0] + d[1] / 2.0)
+        ).filter(lambda shape: shape[1] > 0.0)
+    else:
+        off_line = HALVES.map(lambda x: (x,))
+    return hs.one_of(on_line, off_line)
+
+
+@pytest.mark.parametrize("name", sorted(POSTERIORS))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n=SIZES, p=PROBABILITIES)
-def test_cdf_inverts_quantile(name, n, p):
-    family = FAMILIES[name]
-    assert abs(float(family.cdf(n, family.quantile(n, p))) - p) <= 1e-11
+@given(data=hs.data(), p=PROBABILITIES)
+def test_cdf_inverts_quantile(name, data, p):
+    family, shape = POSTERIORS[name].family, data.draw(_shapes(name))
+    assert abs(float(family.cdf(*shape, family.quantile(*shape, p))) - p) <= 1e-11
 
 
-@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("name", sorted(POSTERIORS))
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(n=SIZES, q=PROBABILITIES)
-def test_cdf_inverts_isf(name, n, q):
-    # isf(n, q) is the upper-tail quantile, the hi end of every tail split
-    family = FAMILIES[name]
-    assert abs(1.0 - float(family.cdf(n, family.isf(n, q))) - q) <= 1e-11
+@given(data=hs.data(), q=PROBABILITIES)
+def test_cdf_inverts_isf(name, data, q):
+    # isf(*shape, q) is the upper-tail quantile, the hi end of every tail split
+    family, shape = POSTERIORS[name].family, data.draw(_shapes(name))
+    assert abs(1.0 - float(family.cdf(*shape, family.isf(*shape, q))) - q) <= 1e-11
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(p=PROBABILITIES)
 def test_t_cdf_inverts_quantile_at_df_1e9(p):
     # the slope family of a coverage cell at n = 1e9 + 2
-    n = 1_000_000_002
-    assert abs(float(STUDENT_T.cdf(n, STUDENT_T.quantile(n, p))) - p) <= 1e-11
+    shape = BetaPosterior.pivot(1_000_000_002, 1.0, 0.0, 1.0)[0]
+    family = BetaPosterior.family
+    assert abs(float(family.cdf(*shape, family.quantile(*shape, p))) - p) <= 1e-11
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
