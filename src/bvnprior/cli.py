@@ -7,6 +7,14 @@ failure (including failed verification checks, and float overflow or
 division by zero at extreme parameters).
 All output is deterministic: rerunning a command with the same flags and
 seed produces byte-identical bytes. Coverage seeds must lie in [0, 2**64).
+
+One parser, built at the first main() call, serves the process. main()
+hands the arguments after a command name straight to that command's
+parser, one argparse pass where the top-level parser would add a second,
+and reports arguments left over through the top-level parser, as
+parse_args does; anything else (no arguments, -h, an unknown command) goes
+to the top-level parser. Either way every usage error prints what a full
+parse prints.
 """
 
 from __future__ import annotations
@@ -294,6 +302,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify_prior)
 
+    # main() hands a named command's arguments to its parser directly
+    parser.commands = sub.choices
     return parser
 
 
@@ -301,9 +311,26 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _parse(argv):
+    """build_parser().parse_args(argv), in one argparse pass for a named command.
+
+    The top-level parser would hand every argument after the command to
+    the command's parser; here that parser gets them directly, and what it
+    leaves over is reported by the top-level parser, as parse_args does.
+    """
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:

@@ -280,6 +280,9 @@ def _draw_residual_powers(p: OrthogonalParams, n: int, seed: int) -> np.ndarray:
     return powers
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def sufficient_stats(data) -> SufficientStats:
     """Sufficient statistics of an (n, 2) dataset.
 
@@ -296,29 +299,31 @@ def sufficient_stats(data) -> SufficientStats:
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("data must be an (n, 2) array of pairs")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise DomainError("data must be finite")
     n = arr.shape[0]
     if n < 3:
         raise DegenerateDataError("inference needs n >= 3 observations")
     x1, x2 = arr[:, 0], arr[:, 1]
+    # np.add.reduce is the sum that mean() and sum() take, without their wrappers
+    total = np.add.reduce
     with np.errstate(over="raise", invalid="raise"):
-        xbar1, xbar2 = float(x1.mean()), float(x2.mean())
+        xbar1, xbar2 = float(total(x1) / n), float(total(x2) / n)
         d1 = x1 - xbar1
         d2 = x2 - xbar2
-        s11 = float((d1 * d1).sum())
+        s11 = float(total(d1 * d1))
         if s11 <= 0.0:
             if d1.any():
                 raise NumericalError("the squared deviations of x1 underflow to 0 (s11 = 0)")
             raise DegenerateDataError("all x1 values coincide (s11 = 0)")
-        s22 = float((d2 * d2).sum())
+        s22 = float(total(d2 * d2))
         if s22 <= 0.0 and d2.any():
             raise NumericalError("the squared deviations of x2 underflow to 0 (s22 = 0)")
-        s12 = float((d1 * d2).sum())
+        s12 = float(total(d1 * d2))
         # a numpy division, so that an overflowing slope raises as well
         resid = d2 - (np.float64(s12) / s11) * d1
-        s22_1 = float((resid * resid).sum())
-    if s22_1 <= n * np.finfo(float).eps * s22:
+        s22_1 = float(total(resid * resid))
+    if s22_1 <= n * _EPS * s22:
         raise DegenerateDataError("pairs are exactly collinear (s22.1 = 0)")
     return SufficientStats(
         n=n, xbar1=xbar1, xbar2=xbar2, s11=s11, s22=s22, s12=s12, s22_1=s22_1

@@ -16,11 +16,15 @@ The ten special functions share one argument rule and one return rule.
 Every shape parameter (a, b, df) must be finite and > 0; a probability p,
 and the x of reg_inc_beta, must lie in [0, 1]; the x of the incomplete
 gamma functions must be >= 0 (inf allowed); the t of student_t_cdf may be
-+-inf. NaN fails everywhere, and every failure is a DomainError.
-Arguments broadcast as numpy arrays, and the result is a float exactly
-when every argument is 0-d (a Python or numpy scalar, or a 0-d array),
-an array otherwise. The posteriors and model densities follow the same
-return rule.
++-inf. NaN fails everywhere, and so does an int too large for a float
+(10**400 is not taken as inf); every failure is a DomainError. A Python
+float or int (or a numpy float) is checked as one Python float, with plain
+comparisons; anything else becomes a float array, checked by one
+vectorized comparison. Either way the arithmetic is the same, so a value
+gives the same bits as a scalar and as an array element. Arguments
+broadcast as numpy arrays, and the result is a float exactly when every
+argument is 0-d (a Python or numpy scalar, or a 0-d array), an array
+otherwise. The posteriors and model densities follow the same return rule.
 
 Two scalar rules serve the whole package: a level lies in (0, 1) with
 1 - level not rounding to 1 (_check_level); a count or seed is an int or
@@ -64,20 +68,53 @@ class QuadratureResult:
     evaluations: int
 
 
-def _require(name, *shapes):
-    """The shape parameters as float arrays; each must be finite and > 0."""
-    arrays = [np.asarray(s, dtype=float) for s in shapes]
-    for s in arrays:
-        if not ((s > 0.0) & (s < math.inf)).all():
-            raise DomainError(f"{name} requires finite shape parameters > 0")
-    return arrays
+# the smallest normal float, as a Python float: a Python float compares with
+# another several times faster than with a numpy scalar
+_TINY = float(np.finfo(float).tiny)
 
 
-def _check_prob(x, name="p"):
-    """x as a float array; it must lie in [0, 1], and NaN fails."""
-    x = np.asarray(x, dtype=float)
-    if not ((x >= 0.0) & (x <= 1.0)).all():
+def _float(fn, x):
+    """An argument of fn as a float if it is a Python (or numpy) float or an
+    int, else as a float array; an int too large for a float raises
+    DomainError, not OverflowError."""
+    try:
+        return float(x) if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+    except OverflowError:
+        raise DomainError(f"{fn} requires arguments within the float range") from None
+
+
+def _all(mask):
+    """Whether a comparison of floats or float arrays holds for every element."""
+    return mask.all() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _any(mask):
+    """Whether a comparison of floats or float arrays holds for some element."""
+    return mask.any() if isinstance(mask, np.ndarray) else bool(mask)
+
+
+def _require(fn, *shapes):
+    """The shape parameters of fn as floats or float arrays; each must be finite and > 0."""
+    shapes = [_float(fn, s) for s in shapes]
+    for s in shapes:
+        if not _all((s > 0.0) & (s < math.inf)):
+            raise DomainError(f"{fn} requires finite shape parameters > 0")
+    return shapes
+
+
+def _check_prob(fn, x, name="p"):
+    """The argument name of fn as a float or float array; it must lie in [0, 1], and NaN fails."""
+    x = _float(fn, x)
+    if not _all((x >= 0.0) & (x <= 1.0)):
         raise DomainError(f"{name} must lie in [0, 1]")
+    return x
+
+
+def _check_x(fn, x):
+    """The x of the incomplete gamma functions; it must be >= 0 (inf allowed)."""
+    x = _float(fn, x)
+    if not _all(x >= 0.0):
+        raise DomainError(f"{fn} requires x >= 0")
     return x
 
 
@@ -107,7 +144,10 @@ def _sp():
 
 def _result(out, *args):
     """float when every argument is 0-d, the array otherwise."""
-    return float(out) if all(np.ndim(a) == 0 for a in args) else out
+    for a in args:
+        if type(a) is not float and np.ndim(a) != 0:
+            return out
+    return float(out)
 
 
 def log_gamma(a):
@@ -125,39 +165,35 @@ def log_beta(a, b):
 def reg_inc_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x), a > 0, x >= 0."""
     (a,) = _require("reg_inc_gamma", a)
-    x = np.asarray(x, dtype=float)
-    if not (x >= 0.0).all():
-        raise DomainError("reg_inc_gamma requires x >= 0")
+    x = _check_x("reg_inc_gamma", x)
     return _result(_sp().gammainc(a, x), a, x)
 
 
 def reg_inc_gamma_c(a, x):
     """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
     (a,) = _require("reg_inc_gamma_c", a)
-    x = np.asarray(x, dtype=float)
-    if not (x >= 0.0).all():
-        raise DomainError("reg_inc_gamma_c requires x >= 0")
+    x = _check_x("reg_inc_gamma_c", x)
     return _result(_sp().gammaincc(a, x), a, x)
 
 
 def reg_inc_gamma_inv(a, p):
     """Inverse of P(a, .): returns x with P(a, x) = p."""
     (a,) = _require("reg_inc_gamma_inv", a)
-    p = _check_prob(p)
+    p = _check_prob("reg_inc_gamma_inv", p)
     return _result(_sp().gammaincinv(a, p), a, p)
 
 
 def reg_inc_gamma_c_inv(a, p):
     """Inverse of Q(a, .): returns x with Q(a, x) = p."""
     (a,) = _require("reg_inc_gamma_c_inv", a)
-    p = _check_prob(p)
+    p = _check_prob("reg_inc_gamma_c_inv", p)
     return _result(_sp().gammainccinv(a, p), a, p)
 
 
 def reg_inc_beta(a, b, x):
     """Regularized incomplete beta I_x(a, b), a, b > 0, x in [0, 1]."""
     a, b = _require("reg_inc_beta", a, b)
-    x = _check_prob(x, "x")
+    x = _check_prob("reg_inc_beta", x, "x")
     return _result(_sp().betainc(a, b, x), a, b, x)
 
 
@@ -170,10 +206,11 @@ def reg_inc_beta_inv(a, b, p):
     I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), which is exact to O(x).
     """
     a, b = _require("reg_inc_beta_inv", a, b)
-    p = _check_prob(p)
-    out = np.asarray(_sp().betaincinv(a, b, p))
-    lost = np.isnan(out) | ((p > 0.0) & (p < np.finfo(float).tiny))
-    if lost.any():
+    p = _check_prob("reg_inc_beta_inv", p)
+    out = _sp().betaincinv(a, b, p)
+    lost = (out != out) | ((p > 0.0) & (p < _TINY))
+    if _any(lost):
+        out = np.array(out)
         la, lb, lp = (np.broadcast_to(v, out.shape)[lost] for v in (a, b, p))
         out[lost] = np.exp((np.log(lp) + np.log(la) + _sp().betaln(la, lb)) / la)
     return _result(out, a, b, p)
@@ -188,8 +225,8 @@ def student_t_cdf(df, t):
     F(t) = 1/2 +- I_x(1/2, df/2)/2.
     """
     (df,) = _require("student_t_cdf", df)
-    t = np.asarray(t, dtype=float)
-    if np.isnan(t).any():
+    t = _float("student_t_cdf", t)
+    if not _all(t == t):
         raise DomainError("student_t_cdf requires t that is not NaN (+-inf is allowed)")
     half = df / 2.0
     t2 = t * t
@@ -212,7 +249,7 @@ def student_t_quantile(df, p):
     1, so z = 1 - x = I^{-1}(df/2, 1/2; tail) gives t = sqrt(df (1-z)/z).
     """
     (df,) = _require("student_t_quantile", df)
-    p = _check_prob(p)
+    p = _check_prob("student_t_quantile", p)
     half = df / 2.0
     tail = 2.0 * np.minimum(p, 1.0 - p)
     with np.errstate(divide="ignore"):

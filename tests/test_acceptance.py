@@ -5,6 +5,17 @@ after its assertions hold. The frozen coverage references are prior
 simulation results for the same grid; both carry Monte Carlo noise of
 about 0.003 at 5000 replicates, which sets the 0.015 comparison band.
 
+A correct engine's hit count in an estimate is binomial(replicates, 0.95),
+so the false-alarm rate of each reference band is computed exactly, by
+putting every hit count through the tests' own float comparison
+(test_reference_band_false_alarm_rates). Summed over the 45 estimates,
+which bounds the rate of the grid, it is 0.0097 for the 0.015 band at 5000
+replicates (worst estimate 0.0024, at reference 0.956) and 0.037 for the
+0.025 band at 1000 replicates (worst 0.0035). The float comparison trips at
+some gaps that equal the band in exact arithmetic (|0.971 - 0.956| is
+0.015000000000000013); compared exactly, the sums would be 0.0078 and
+0.031.
+
 Under the matching prior every coverage equals the level exactly, so the
 exact binomial gate tests each of the 45 hit counts against the level,
 with Holm's step-down correction at family-wise alpha 0.001: a correct
@@ -139,6 +150,39 @@ def test_acceptance_coverage_grid_fast_variant():
     print(f"[acceptance] coverage grid 1000 reps: PASS (worst gap {worst:.4f})")
 
 
+def _band_trip_rates(replicates, band):
+    """{(rho, n, param): probability that a correct engine's estimate leaves the band}.
+
+    The hits are binomial(replicates, 0.95), as no replicate of a correct
+    engine is degenerate, and each hit count goes through the comparison
+    the two band tests make.
+    """
+    hits = np.arange(replicates + 1)
+    pmf = stats.binom.pmf(hits, replicates, 0.95)
+    coverage = hits / replicates
+    return {
+        (rho, n, param): float(pmf[np.abs(coverage - expected) > band].sum())
+        for (rho, n), ref in REFERENCE_COVERAGE.items()
+        for param, expected in zip(PARAMS, ref)
+    }
+
+
+# (replicates, band): (sum of the 45 false-alarm rates, the largest one)
+BAND_FALSE_ALARMS = {
+    (5000, 0.015): (0.0097020, 0.0023908),
+    (1000, 0.025): (0.036657, 0.0034746),
+}
+
+
+def test_reference_band_false_alarm_rates():
+    """The exact false-alarm rates of the two reference bands, as the docstring states."""
+    for (replicates, band), (total, worst) in BAND_FALSE_ALARMS.items():
+        rates = _band_trip_rates(replicates, band)
+        assert len(rates) == 45
+        assert sum(rates.values()) == pytest.approx(total, rel=1e-4)
+        assert max(rates.values()) == pytest.approx(worst, rel=1e-4)
+
+
 def test_acceptance_coverage_exact_binomial(full_table):
     """Each of the 45 hit counts is binomial(used, level), Holm at 0.001."""
     pvalues = _binomial_pvalues(full_table)
@@ -224,7 +268,9 @@ def test_gate_false_alarm_rates_over_many_seeds():
     The 1000-replicate grid on 200 seeds. Each of the 45 KS tests rejects
     with probability KS_ALPHA, so if they were independent the grid would
     fail with probability 1 - 0.99^45; the observed rate must lie within
-    a 4 sigma binomial band of that. The band rate is reported only.
+    a 4 sigma binomial band of that. The 0.025 band trips with probability
+    at most the sum of its 45 exact rates (_band_trip_rates); the observed
+    rate must not exceed that bound by more than 4 sigma.
     """
     seeds = range(1, 201)
     ks_trips = band_trips = 0
@@ -239,12 +285,15 @@ def test_gate_false_alarm_rates_over_many_seeds():
     runs = len(seeds)
     expected = 1.0 - (1.0 - KS_ALPHA) ** 45
     sigma = math.sqrt(expected * (1.0 - expected) / runs)
+    band_bound = sum(_band_trip_rates(1000, 0.025).values())
+    band_sigma = math.sqrt(band_bound * (1.0 - band_bound) / runs)
     print(
         f"[acceptance] false alarms over {runs} seeds: KS gate {ks_trips / runs:.3f} "
         f"(independent tests: {expected:.3f} +- {sigma:.3f}), "
-        f"0.025 band {band_trips / runs:.3f}"
+        f"0.025 band {band_trips / runs:.3f} (at most {band_bound:.3f} +- {band_sigma:.3f})"
     )
     assert abs(ks_trips / runs - expected) <= 4.0 * sigma
+    assert band_trips / runs <= band_bound + 4.0 * band_sigma
 
 
 def test_acceptance_score_moment_suite():

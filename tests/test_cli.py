@@ -715,6 +715,64 @@ def test_help_exits_zero(capsys):
     assert run_cli(capsys, "coverage", "--help")[0] == 0
 
 
+# per command: a valid argv after the command name (cheap to run), then
+# the usage cases that apply to it: a missing required flag, a bad choice,
+# a bad float and an abbreviated long option (None where the command has
+# no such flag)
+USAGE_CASES = {
+    "sample": (["--n", "5"], ["--rho", "0.5"], None, ["--n", "5", "--rho", "x"],
+               ["--n", "5", "--se", "3"]),
+    "stats": (["--input", "{data}"], [], None, None, ["--inp", "{data}"]),
+    "posterior": (["--input", "{data}", "--param", "beta"], ["--input", "{data}"],
+                  ["--input", "{data}", "--param", "zeta"], None,
+                  ["--input", "{data}", "--par", "eta"]),
+    "interval": (["--input", "{data}", "--param", "beta"], ["--param", "beta"],
+                 ["--input", "{data}", "--param", "beta", "--kind", "widest"],
+                 ["--input", "{data}", "--param", "beta", "--level", "x"],
+                 ["--input", "{data}", "--param", "theta", "--lev", "0.9"]),
+    "coverage": (["--ns", "4", "--rhos", "0.5", "--replicates", "20"], None,
+                 ["--format", "html"], ["--level", "high"],
+                 ["--ns", "4", "--rhos", "0.5", "--rep", "20", "--form", "markdown"]),
+    "verify-lemma": (["--samples", "1000"], None, ["--format", "xml"], ["--rho", "x"],
+                     ["--sa", "1000", "--form", "csv"]),
+    "verify-prior": (["matching", "--grid-theta=1:2:2", "--grid-eta=1:2:2"], None,
+                     ["jeffreys"], ["--grid-beta", "oops"],
+                     ["flat", "--grid-t=1:2:2", "--grid-e=1:2:2", "--form", "csv"]),
+}
+
+
+def _full_parse_main(argv, monkeypatch):
+    """main(argv) with one full parse by a fresh build_parser() in place of its dispatch."""
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+        return main(argv)
+
+
+@pytest.mark.parametrize("command", sorted(USAGE_CASES) + [None])
+def test_usage_errors_match_a_full_parse(command, dataset, capsys, monkeypatch):
+    """main() parses a named command in one pass and prints what a full parse prints."""
+    # (argv, whether it is a usage error); help exits 0 and an abbreviated
+    # long option runs the command
+    if command is None:
+        cases = [([], True), (["-h"], False), (["--help"], False), (["nonsense"], True),
+                 (["nonsense", "--n", "5"], True), (["--n", "5"], True)]
+    else:
+        valid, missing, choice, bad_float, abbreviated = (
+            None if case is None else [command] + [a.format(data=dataset) for a in case]
+            for case in USAGE_CASES[command]
+        )
+        cases = [([command, "--help"], False), ([command, "-h"], False),
+                 (valid + ["--bogus"], True), (valid + ["--bogus=1"], True),
+                 (valid + ["extra"], True), (valid + ["extra", "more"], True),
+                 (abbreviated, False)]
+        cases += [(argv, True) for argv in (missing, choice, bad_float) if argv is not None]
+    for argv, usage_error in cases:
+        ours = main(argv), *capsys.readouterr()
+        full = _full_parse_main(argv, monkeypatch), *capsys.readouterr()
+        assert ours == full, argv
+        assert (ours[0] == 2) == usage_error, argv
+
+
 def test_one_parser_serves_every_main_call(dataset, capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
@@ -732,6 +790,8 @@ def test_one_parser_serves_every_main_call(dataset, capsys, monkeypatch):
     assert first > 0
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "coverage", "--help")[0] == 0
+    # a command with arguments left over, which the top-level parser reports
+    assert run_cli(capsys, *argv, "extra")[0] == 2
     code, out, _ = run_cli(capsys, *argv)
     assert len(built) == first
     # a usage error leaves the shared parser as a fresh process has it

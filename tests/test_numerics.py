@@ -112,19 +112,20 @@ def test_special_functions_accept_arrays():
 # The argument and return contract of the ten special functions: each
 # entry is (function, valid arguments, positions of shape parameters, the
 # position of the bounded argument and values that lie outside its domain)
-SHAPE_BAD = (0.0, -1.0, -2.0, -2.5, math.nan, math.inf, -math.inf)
-PROB_BAD = (-0.1, 1.5, -1e-300, 1.0 + 2.0**-52, math.nan, math.inf, -math.inf)
-X_GAMMA_BAD = (-0.1, -1e-300, math.nan, -math.inf)
+# 10**400 is a Python int too large for a float
+SHAPE_BAD = (0.0, -1.0, -2.0, -2.5, math.nan, math.inf, -math.inf, 10**400)
+PROB_BAD = (-0.1, 1.5, -1e-300, 1.0 + 2.0**-52, math.nan, math.inf, -math.inf, 10**400)
+X_GAMMA_BAD = (-0.1, -1e-300, math.nan, -math.inf, 10**400)
 CONTRACT = {
-    "log_gamma": (log_gamma, (2.5,), (0,), None, ()),
+    "log_gamma": (log_gamma, (3.0,), (0,), None, ()),
     "log_beta": (log_beta, (2.5, 3.0), (0, 1), None, ()),
-    "reg_inc_gamma": (reg_inc_gamma, (2.5, 1.5), (0,), 1, X_GAMMA_BAD),
-    "reg_inc_gamma_c": (reg_inc_gamma_c, (2.5, 1.5), (0,), 1, X_GAMMA_BAD),
-    "reg_inc_gamma_inv": (reg_inc_gamma_inv, (2.5, 0.3), (0,), 1, PROB_BAD),
-    "reg_inc_gamma_c_inv": (reg_inc_gamma_c_inv, (2.5, 0.3), (0,), 1, PROB_BAD),
+    "reg_inc_gamma": (reg_inc_gamma, (3.0, 1.5), (0,), 1, X_GAMMA_BAD),
+    "reg_inc_gamma_c": (reg_inc_gamma_c, (3.0, 1.5), (0,), 1, X_GAMMA_BAD),
+    "reg_inc_gamma_inv": (reg_inc_gamma_inv, (3.0, 0.3), (0,), 1, PROB_BAD),
+    "reg_inc_gamma_c_inv": (reg_inc_gamma_c_inv, (3.0, 0.3), (0,), 1, PROB_BAD),
     "reg_inc_beta": (reg_inc_beta, (2.5, 3.0, 0.3), (0, 1), 2, PROB_BAD),
     "reg_inc_beta_inv": (reg_inc_beta_inv, (2.5, 3.0, 0.3), (0, 1), 2, PROB_BAD),
-    "student_t_cdf": (student_t_cdf, (5.0, 1.3), (0,), 1, (math.nan,)),
+    "student_t_cdf": (student_t_cdf, (5.0, 1.3), (0,), 1, (math.nan, 10**400)),
     "student_t_quantile": (student_t_quantile, (5.0, 0.3), (0,), 1, PROB_BAD),
 }
 
@@ -150,16 +151,26 @@ def test_special_function_argument_and_return_contract(name):
             fn(*_with(args, bounded, np.array([args[bounded], bad])))
     expected = fn(*args)
     assert type(expected) is float and math.isfinite(expected)
-    for scalar in (float, np.float64, np.array):
-        out = fn(*(scalar(a) for a in args))
-        assert type(out) is float and out == expected, scalar
+    # a Python int wherever the valid argument is integral, as the
+    # posteriors pass the int n - 2
+    integral = tuple(int(a) if float(a).is_integer() else a for a in args)
+    assert int in map(type, integral)
+    for case in (
+        tuple(map(float, args)), tuple(map(np.float64, args)), tuple(map(np.array, args)), integral
+    ):
+        out = fn(*case)
+        assert type(out) is float and out == expected, case
+    # the scalar and the array rule give the same bits
+    bits = np.full(3, expected).tobytes()
     for position in range(len(args)):
         out = fn(*_with(args, position, np.array([args[position]] * 3)))
         assert type(out) is np.ndarray and out.shape == (3,), position
-        assert (out == expected).all()
+        assert out.tobytes() == bits, position
         # size 1 is not 0-d
         out = fn(*_with(args, position, np.array([args[position]])))
         assert type(out) is np.ndarray and out.shape == (1,), position
+    out = fn(*(np.array([a] * 3) for a in args))
+    assert out.tobytes() == bits
 
 
 def test_student_t_quantile_reference_values():
