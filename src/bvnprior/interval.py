@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .model import SufficientStats
 from .posterior import PosteriorDistribution, StandardFamily, beta_posterior
 
@@ -104,27 +104,23 @@ def _solve_hpd(family: StandardFamily, shape: tuple, alpha: float):
     negative below the HPD split and positive above it. It is solved on
     s = log(p / (alpha - p)) by find_root(gap, s_lo, s_hi), from the ends
     -1 and 1, each doubled until the sign is right; past |s| = 512 the
-    split is out of reach and find_root raises BracketError. Each s is
-    evaluated once, the two starting ends in one array call: the doubling
-    loop, find_root's sign check and Brent's start all ask for the ends,
-    and the root is a point Brent evaluated, so its bounds are returned
-    as computed.
+    split is out of reach and find_root raises BracketError. gap calls the
+    family on plain floats and remembers each s it is asked for: the
+    doubling loop, find_root's sign check and Brent's start all ask for
+    the ends, and the root is a point Brent evaluated, so its bounds are
+    returned as computed.
     """
     seen = {}  # s -> (objective, lo, hi)
 
-    def evaluate(ss):
-        p = np.array([alpha / (1.0 + math.exp(-s)) for s in ss])
-        lo, hi = family.quantile(*shape, p), family.isf(*shape, alpha - p)
-        gaps = family.log_kernel(*shape, lo) - family.log_kernel(*shape, hi)
-        seen.update(zip(ss, zip(gaps.tolist(), lo.tolist(), hi.tolist())))
-
     def gap(s):
         if s not in seen:
-            evaluate((s,))
+            p = alpha / (1.0 + math.exp(-s))
+            lo, hi = family.quantile(*shape, p), family.isf(*shape, alpha - p)
+            objective = family.log_kernel(*shape, lo) - family.log_kernel(*shape, hi)
+            seen[s] = (float(objective), float(lo), float(hi))
         return seen[s][0]
 
     s_lo, s_hi = -1.0, 1.0
-    evaluate((s_lo, s_hi))
     while not gap(s_lo) < 0.0 and s_lo > -512.0:
         s_lo *= 2.0
     while not gap(s_hi) > 0.0 and s_hi < 512.0:
@@ -167,6 +163,9 @@ def _interval(dist: PosteriorDistribution, kind: str, level: float) -> CredibleI
         dist.location + dist.scale * b
         for b in standard_bounds(dist.family, dist.shape, level, kind)
     )
+    if not lo < hi:
+        raise NumericalError(f"the {dist.param_id} interval at level {level!r} is narrower "
+                             f"than one float step at {lo!r}")
     upper, lower = dist.cdf([hi, lo]).tolist()
     return CredibleInterval(
         param=dist.param_id,

@@ -70,8 +70,9 @@ class StandardFamily:
     """Law of the pivot Z as functions of its shape parameters (df, k or a, b).
 
     log_norm(*shape) + log_kernel(*shape, z) is the log density of Z on
-    (lower, inf); cdf(*shape, z), quantile(*shape, p) and the upper-tail
-    quantile isf(*shape, q) accept arrays; under np.errstate(divide="ignore")
+    (lower, inf); log_kernel, cdf(*shape, z), quantile(*shape, p) and the
+    upper-tail quantile isf(*shape, q) accept floats and arrays, and give a
+    float the bits it gets as an array element; under np.errstate(divide="ignore")
     quantile(*shape, 0) is lower and isf(*shape, 0) is inf. mean(*shape) is
     None where the mean does not exist. symmetric families have the HPD
     interval that leaves alpha/2 in each tail. Instances hash by identity,

@@ -338,6 +338,29 @@ def test_level_below_resolution_exits_3(dataset, capsys, param, level):
     assert caught == []
 
 
+@pytest.mark.parametrize("n, rho, param, kind, level", [
+    ("3", "0.3", "theta", "hpd", "1e-16"),
+    ("5", "-0.99999999999", "beta", "equal_tailed", "1e-12"),
+], ids=["theta-n3", "beta-near-collinear"])
+def test_interval_narrower_than_one_float_step_exits_4(tmp_path, capsys, n, rho, param, kind,
+                                                        level):
+    # a valid level whose ends round to one float, or cross, at the
+    # posterior's location: a numerical limit, not a domain error
+    path = tmp_path / "d.csv"
+    assert main(["sample", "--n", n, "--rho", rho, "--seed", "1", "--output", str(path)]) == 0
+    request = ("interval", "--input", str(path), "--param", param, "--kind", kind)
+    code, out, err = run_cli(capsys, *request, "--level", level)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith(
+        f"error: the {param} interval at level {level} is narrower than one float step at "
+    )
+    code, out, err = run_cli(capsys, *request, "--level", "1e-06")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["lo"] < payload["hi"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -6,6 +6,7 @@ k, find both crossings of kernel(x) = k by high-precision bisection, and
 integrate the kernel directly for the enclosed mass.
 """
 
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -27,6 +28,9 @@ from bvnprior.interval import (
 )
 from bvnprior.model import OriginalParams, SufficientStats, sample, sufficient_stats
 from bvnprior.posterior import (
+    EtaPosterior,
+    PrecisionPosterior,
+    ThetaPosterior,
     beta_posterior,
     eta_posterior,
     precision_posterior,
@@ -308,18 +312,19 @@ def test_hpd_solve_evaluates_each_tail_mass_once(param, n, level):
     def counted(name, f):
         def call(*shape_and_q):
             out = f(*shape_and_q)
-            q = shape_and_q[-1]
-            calls.append((name, np.atleast_1d(q).tolist(), np.atleast_1d(out).tolist()))
+            calls.append((name, shape_and_q[-1], float(out)))
             return out
         return call
 
     cold = replace(family, quantile=counted("quantile", family.quantile),
                    isf=counted("isf", family.isf))
     lo, hi = standard_bounds(cold, dist.shape, level, "hpd")
+    # each tail mass reaches the family as one Python float
+    assert {type(q) for _, q, _ in calls} == {float}
     masses, bounds = {}, {}
     for name in ("quantile", "isf"):
-        masses[name] = [q for called, qs, _ in calls if called == name for q in qs]
-        bounds[name] = [b for called, _, out in calls if called == name for b in out]
+        masses[name] = [q for called, q, _ in calls if called == name]
+        bounds[name] = [b for called, _, b in calls if called == name]
     # a split is its pair of tail masses: far out, alpha - p rounds alike
     # for distinct p
     splits = list(zip(masses["quantile"], masses["isf"]))
@@ -327,6 +332,25 @@ def test_hpd_solve_evaluates_each_tail_mass_once(param, n, level):
     # the root is a split Brent evaluated, so its bounds are returned as
     # computed; a call after the root find would repeat its tail masses
     assert (lo, hi) in zip(bounds["quantile"], bounds["isf"])
+
+
+# every asymmetric family at n from 4 to 59 and far out, at levels from
+# 0.5 to 1 - 1e-12: 1,512 HPD solves
+_HPD_SWEEP_NS = (*range(4, 60), 100, 200, 500, 1000, 5000, 100_000, 1_000_000)
+_HPD_SWEEP_LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0 - 1e-6, 1.0 - 1e-12)
+
+
+def test_hpd_sweep_is_pinned():
+    # any change to how an HPD split is solved or evaluated shows here;
+    # such a change must update this hash knowingly
+    text = "".join(
+        repr(standard_bounds(posterior.family, posterior.pivot(n, 1.0, 0.0, 1.0)[0], level, "hpd"))
+        for n in _HPD_SWEEP_NS
+        for level in _HPD_SWEEP_LEVELS
+        for posterior in (ThetaPosterior, PrecisionPosterior, EtaPosterior)
+    )
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "37ab665b3c3d945310169c04079c88be5b3d09a7d684de03bda58abf30edfd0c"
 
 
 # the lower-triangular group x1 -> a11 x1, x2 -> a21 x1 + a22 x2 acts on each

@@ -250,20 +250,37 @@ def test_cdf_vectorizes():
     assert np.all(np.diff(out) > 0.0)
 
 
+def _bits(values):
+    """The float64 bytes of a sequence of floats: NaN and -0.0 compare too."""
+    return np.array(values, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize(
     "make", [beta_posterior, theta_posterior, precision_posterior, eta_posterior]
 )
 def test_zero_d_arguments_give_floats(make):
-    # the numerics return rule: a float exactly when the argument is 0-d
+    # the numerics return rule: a float exactly when the argument is 0-d,
+    # with the bits that argument has as an element of an array
     dist = make(REF)
-    x = dist.quantile(0.3)
-    for method, arg in ((dist.cdf, x), (dist.logpdf, x), (dist.pdf, x), (dist.quantile, 0.3)):
+    probs = np.array([1e-300, 1e-12, 0.025, 0.3, 0.5, 0.7, 0.975, 1.0 - 1e-12])
+    xs = np.append(dist.quantile(probs), [dist.location - dist.scale, -1e100, 1e100])
+    for method, args in ((dist.cdf, xs), (dist.logpdf, xs), (dist.pdf, xs), (dist.quantile, probs)):
+        arg = args[3]
         expected = method(arg)
         for scalar in (float, np.float64, np.array):
             out = method(scalar(arg))
             assert type(out) is float and out == expected, (method.__name__, scalar)
         out = method(np.array([arg]))
         assert type(out) is np.ndarray and out.shape == (1,)
+        assert _bits([method(float(x)) for x in args]) == _bits(method(args)), method.__name__
+    # the family's own calls, as an HPD solve makes them on plain floats
+    family = dist.family
+    for n in (3, 4, 10, 1000, 10**6):
+        shape = type(dist).pivot(n, 1.0, 0.0, 1.0)[0]
+        zs = np.asarray(family.quantile(*shape, probs), dtype=float)
+        for name, args in (("quantile", probs), ("isf", probs), ("cdf", zs), ("log_kernel", zs)):
+            f = getattr(family, name)
+            assert _bits([f(*shape, float(x)) for x in args]) == _bits(f(*shape, args)), (name, n)
 
 
 # the posterior whose pivot gives each family its shape
