@@ -9,8 +9,8 @@ Two independent kinds of evidence are produced:
   the exact log-density partials of model._partial, which depend on a draw
   only through its residuals u ~ N(0, theta eta) and v ~ N(0, theta/eta);
   those are drawn from their law, from the normals sample() would use, so
-  the means do not enter. Each integrand is built in two reused buffers;
-  one with a factor of beta order 3 is identically zero and costs no pass.
+  the means do not enter. Each integrand is built in two reused buffers, in
+  table order; one with a factor of beta order 3 is 0 and costs no pass.
 
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for the posterior
@@ -352,6 +352,7 @@ def _pass_tol(used_analytic: bool) -> float:
 
 _PARTIAL_VALUES = attrgetter(*(f.name for f in fields(PriorPartials)))
 _BLOCK_POINTS = 1 << 16  # grid points held at a time, but at least one beta plane
+_CHUNK = 1 << 14  # samples of a score-moment pair's second factor built at a time
 
 
 def _block_partials(prior: PriorSpec, b, theta_ax, eta_ax) -> PriorPartials:
@@ -514,19 +515,15 @@ def verify_score_moments(
     # a meaningless estimate
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         powers = _draw_residual_powers(params, n_samples, seed)
-        # every integrand is built in a and b, with the operations of
-        # _partial and reduce(mul) in their order, so it rounds as theirs do.
-        # A factor of beta order 0 and eta order < 2 writes its v^2 term to a
-        # scratch. A pair puts such a factor first, with b as scratch (x * y
-        # is y * x); if both are such, the second borrows uv's row. Neither
-        # then reads uv, so integrands whose last factor is such run last
+        # the operations of _partial and reduce(mul) in their order, so each
+        # integrand rounds as theirs does: the first factor in a (scratch b),
+        # a cube (a * a) * a in b, and a pair's second factor in b, _CHUNK
+        # samples at a time, so that its v^2 scratch is one chunk, not a row
         a, b = np.empty(n_samples), np.empty(n_samples)
-        needs_scratch = {f: f[0] == 0 and f[2] < 2 for _, fs, _ in _MOMENTS for f in fs}
-        factors = [sorted(f, key=needs_scratch.get, reverse=True) for _, f, _ in _MOMENTS]
-        checks = [None] * len(factors)
-        for k in sorted(range(len(factors)), key=lambda k: needs_scratch[factors[k][-1]]):
-            first, *rest = factors[k]
-            if any(f[0] == 3 for f in factors[k]):
+        checks = []
+        for (label, factors, _), claimed in zip(_MOMENTS, claims):
+            first, *rest = factors
+            if any(f[0] == 3 for f in factors):
                 # log f is quadratic in beta, so the integrand is identically 0
                 estimate = stderr = 0.0
             else:
@@ -535,15 +532,17 @@ def verify_score_moments(
                     vals = np.multiply(a, a, out=b)
                     vals *= a
                 elif rest:
-                    vals *= _partial(powers, t, e, rest[0], out=b, scratch=powers[1])
+                    for s in range(0, n_samples, _CHUNK):
+                        _partial(powers[:, s:s + _CHUNK], t, e, rest[0], out=b[s:s + _CHUNK])
+                    vals *= b
                 # np.mean's sum and division, without its Python wrapper
                 estimate = float(np.add.reduce(vals)) / n_samples
                 # np.std's sum of squares without its copy: vals is not used again
                 vals -= estimate
                 variance = float(np.dot(vals, vals)) / (n_samples - 1)
                 stderr = math.sqrt(variance) / math.sqrt(n_samples)
-            passed = abs(estimate - claims[k]) <= 4.0 * stderr
-            checks[k] = ExpectationCheck(_MOMENTS[k][0], claims[k], estimate, stderr, n_samples, passed)
+            passed = abs(estimate - claimed) <= 4.0 * stderr
+            checks.append(ExpectationCheck(label, claimed, estimate, stderr, n_samples, passed))
     return checks
 
 

@@ -222,18 +222,30 @@ def student_t_cdf(df, t):
     The tail mass P(|T| > |t|) is I_z(df/2, 1/2) with z = df/(df + t^2).
     Where t^2 < df, z rounds towards 1, so the central mass
     P(|T| < |t|) = I_x(1/2, df/2) at x = t^2/(df + t^2) is used instead:
-    F(t) = 1/2 +- I_x(1/2, df/2)/2.
+    F(t) = 1/2 +- I_x(1/2, df/2)/2. Where df/t^2, which z then equals to
+    rounding, falls below the normal range (t^2 may overflow), the tail mass
+    is taken in logs from the leading term z^(df/2) / ((df/2) B(df/2, 1/2))
+    of the small-z series, whose relative error is O(z).
     """
     (df,) = _require("student_t_cdf", df)
     t = _float("student_t_cdf", t)
     if not _all(t == t):
         raise DomainError("student_t_cdf requires t that is not NaN (+-inf is allowed)")
     half = df / 2.0
-    t2 = t * t
+    # t^2 = inf gives z = 0, which the far tail replaces; a df/tiny past the
+    # float range is inf, and no t^2 is lost to it
+    with np.errstate(over="ignore"):
+        t2 = t * t
+        lost = t2 > df / _TINY  # t = +-inf too, where the far tail is 0 as well
     near = t2 < df
     mass = _sp().betainc(
         np.where(near, 0.5, half), np.where(near, half, 0.5), np.where(near, t2, df) / (df + t2)
     )
+    if _any(lost):
+        mass = np.array(mass)
+        lh, ldf, lt = (np.broadcast_to(v, mass.shape)[lost] for v in (half, df, t))
+        log_z = np.log(ldf) - 2.0 * np.log(np.abs(lt))
+        mass[lost] = np.exp(lh * log_z - np.log(lh) - _sp().betaln(lh, 0.5))
     far = np.where(t >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
     out = np.where(near, 0.5 + np.copysign(0.5 * mass, t), far)
     return _result(out, df, t)
@@ -247,15 +259,24 @@ def student_t_quantile(df, p):
     x = t^2/(df + t^2) = I^{-1}_c(1/2, df/2; tail), the inverse of the
     complement, and t = sqrt(df x/(1-x)). Where t^2 > df, x rounds towards
     1, so z = 1 - x = I^{-1}(df/2, 1/2; tail) gives t = sqrt(df (1-z)/z).
+    Where a positive tail gives z below the normal range or t^2 past the
+    float range, z inverts student_t_cdf's far tail in logs and t = sqrt(df/z).
     """
     (df,) = _require("student_t_quantile", df)
     p = _check_prob("student_t_quantile", p)
     half = df / 2.0
     tail = 2.0 * np.minimum(p, 1.0 - p)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         x = _sp().betainccinv(0.5, half, tail)
         z = _sp().betaincinv(half, 0.5, tail)
         mag = np.sqrt(df * np.where(x <= 0.5, x / (1.0 - x), (1.0 - z) / z))
+        lost = (tail > 0.0) & ((z < _TINY) | (mag == math.inf))
+        if _any(lost):
+            mag = np.array(mag)
+            lh, ldf, ltail = (np.broadcast_to(v, mag.shape)[lost] for v in (half, df, tail))
+            # a t past the float range stays inf
+            log_z = (np.log(ltail) + np.log(lh) + _sp().betaln(lh, 0.5)) / lh
+            mag[lost] = np.exp(0.5 * (np.log(ldf) - log_z))
     out = np.where(p >= 0.5, mag, -mag)
     return _result(out, df, p)
 

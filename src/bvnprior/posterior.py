@@ -109,15 +109,24 @@ def _eta_cdf(a, b, z):
     # v = 1 - u, since u rounds to 1 long before the tail mass is negligible.
     # np.where picks the shapes and 1/u - 1 = 1/z^2 or 1/v - 1 = z^2 per
     # element, so the masses are one call; 1/z^2 is formed everywhere but
-    # divides by zero only at z = 0, where the near branch divided before.
+    # divides by zero only where z^2 rounds to 0. A z^2 or 1/z^2 past the
+    # float range is inf, so v or u is 0 and the mass that of z = inf or
+    # z = 0, without an overflow warning.
     # |far - mass| is 1 - mass where far and mass elsewhere, bit for bit,
     # and costs less than a third np.where on a mask in random order
     arr = np.asarray(z, dtype=float)
     far = arr > 1.0
-    z2 = arr * arr
-    u_or_v = 1.0 / (1.0 + np.where(far, z2, 1.0 / z2))
+    with np.errstate(over="ignore"):
+        z2 = arr * arr
+        u_or_v = 1.0 / (1.0 + np.where(far, z2, 1.0 / z2))
     mass = numerics.reg_inc_beta(np.where(far, b, a), np.where(far, a, b), u_or_v)
     return _result(np.abs(far - mass), z)
+
+
+def _t_log_kernel(df, z):
+    # a z^2 past the float range gives -inf, as z = +-inf does, without a warning
+    with np.errstate(over="ignore"):
+        return -0.5 * (df + 1) * np.log1p(z * z / df)
 
 
 # Student t with df degrees of freedom
@@ -126,7 +135,7 @@ STUDENT_T = StandardFamily(
         numerics.log_gamma((df + 1) / 2.0) - numerics.log_gamma(df / 2.0)
         - 0.5 * math.log(df * math.pi)
     ),
-    log_kernel=lambda df, z: -0.5 * (df + 1) * np.log1p(z * z / df),
+    log_kernel=_t_log_kernel,
     cdf=lambda df, z: numerics.student_t_cdf(df, z),
     quantile=lambda df, p: numerics.student_t_quantile(df, p),
     isf=lambda df, q: -numerics.student_t_quantile(df, q),

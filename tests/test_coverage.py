@@ -213,6 +213,29 @@ def test_hits_are_invariant_to_the_data_scales(c1, c2):
             assert 0 < hits[0].sum() < hits[0].size
 
 
+@pytest.mark.parametrize("a21", [0.5, -4.0, 2.0**-20])
+def test_hits_are_invariant_to_a_shear_of_the_data(a21):
+    # x2 -> x2 + a21 x1 maps (s11, s12, s22_1) to (s11, s12 + a21 s11, s22_1)
+    # and the truth's beta to beta + a21, leaving theta and eta; a21 a power
+    # of two makes a21 s11 exact, and every replicate's hit is unchanged
+    n, level, rho = 8, 0.95, 0.5
+    s11, s12, s22_1 = coverage._draw_stats(rho, n, 400, np.random.default_rng(29))
+    sheared = (s11, s12 + a21 * s11, s22_1)
+    truth = to_orthogonal(OriginalParams(0.0, 0.0, 1.0, 1.0, rho))
+    moved = replace(truth, beta=truth.beta + a21)
+    for posterior in (BetaPosterior, ThetaPosterior, EtaPosterior):
+        param = posterior.param_id
+        for kind in interval.KINDS:
+            hits = []
+            for stats_, value in (((s11, s12, s22_1), getattr(truth, param)),
+                                  (sheared, getattr(moved, param))):
+                shape, location, scale = posterior.pivot(n, *stats_)
+                lo, hi = standard_bounds(posterior.family, shape, level, kind)
+                hits.append((value >= location + scale * lo) & (value <= location + scale * hi))
+            assert np.array_equal(hits[0], hits[1]), (param, kind)
+            assert 0 < hits[0].sum() < hits[0].size
+
+
 
 @pytest.mark.parametrize("n", [4, 20, 2000])
 def test_one_stream_covers_alike_at_every_rho(n):

@@ -316,6 +316,18 @@ def test_pairs_whose_second_factor_needs_a_scratch_equal_the_reference(monkeypat
     assert [(c.estimate, c.stderr) for c in checks] == expected
 
 
+def test_score_moments_only_read_the_residual_powers(monkeypatch):
+    # every integrand is built in buffers of its own: a read-only draw gives
+    # the reference moments, where a write to it would raise
+    point = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
+    powers = _draw_residual_powers(point, 100_000, 9)
+    expected = reference_integrand_moments(powers, point.theta, point.eta, 100_000)
+    powers.setflags(write=False)
+    monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: powers)
+    checks = verify_score_moments(point, 100_000, seed=9)
+    assert [(c.estimate, c.stderr) for c in checks] == expected
+
+
 def test_identically_zero_integrands_make_no_pass(monkeypatch):
     # log f is quadratic in beta, so a factor of beta order 3 makes the
     # integrand 0 without a partial being built
@@ -960,6 +972,23 @@ def test_power_prior_readings_in_closed_form():
     assert sp.simplify(readings["hpd_theta_pde"] + (a + 1) * (a + 2 * t) / t) == 0
     assert sp.simplify(readings["hpd_eta_pde"] - (a - 2 * b - b**2)) == 0
     assert sp.simplify(readings["dist_fn_A1_beta"] - (a + b + 2)) == 0
+
+
+@pytest.mark.parametrize("cid", CONDITION_IDS)
+def test_residuals_do_not_read_beta(cid):
+    # the shear x2 -> x2 + a21 x1 moves beta to beta + a21 and leaves theta
+    # and eta, and a prior's partials move with beta; so an identity covariant
+    # under the shear has no term that reads beta, and its residual at
+    # beta + a21 is the same float
+    rng = np.random.default_rng(41)
+    shape = (6, 5)
+    partials = PriorPartials(*rng.standard_normal((7, *shape)))
+    b = rng.uniform(-3.0, 3.0, shape)
+    t, e = rng.uniform(0.2, 5.0, (2, *shape))
+    residual = CONDITIONS[cid].residual
+    expected = residual(partials, b, t, e).tobytes()
+    for a21 in (0.5, -4.0, 1.7, 1e6):
+        assert residual(partials, b + a21, t, e).tobytes() == expected, a21
 
 
 # under theta -> s theta and beta, eta -> r beta, r eta (the diagonal group

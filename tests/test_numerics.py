@@ -247,6 +247,39 @@ def test_student_t_quantile_at_large_df_matches_mpmath(df):
             assert abs(t - exact) <= 1e-15 * abs(exact), (p, t)
 
 
+@pytest.mark.parametrize("df", [1, 2])
+def test_student_t_far_tails_match_mpmath(df):
+    # past |t| of about 1.3e154 t^2 overflows, and at df = 1 the far branch's
+    # z = df/(df + t^2) leaves the normal range from |t| of about 6.7e153, where
+    # the cdf read 0 and the quantile -inf; both take the tail in logs there
+    mpmath = pytest.importorskip("mpmath")
+    ts = -np.geomspace(1e100, 1e300, 47)
+    ps = np.geomspace(1e-100, 1e-300, 47)
+    cdf, quantile = student_t_cdf(df, ts), student_t_quantile(df, ps)
+    assert [student_t_cdf(df, float(t)) for t in ts] == list(cdf)
+    assert [student_t_quantile(df, float(p)) for p in ps] == list(quantile)
+    tiny = np.finfo(float).tiny
+    with mpmath.workdps(40):
+        nu = mpmath.mpf(df)
+
+        def lower(t):
+            """P(T < t) for t < 0: I_z(nu/2, 1/2)/2 at z = nu/(nu + t^2)."""
+            return mpmath.betainc(nu / 2, mpmath.mpf(1) / 2, 0, nu / (nu + t * t),
+                                  regularized=True) / 2
+
+        for t, got in zip(ts, cdf):
+            exact = lower(mpmath.mpf(t))
+            # relative, or below the normal range relative to the smallest normal float
+            assert abs(got - exact) <= 1e-12 * max(exact, tiny), (t, got)
+        for p, t in zip(ps, quantile):
+            assert -math.inf < t < 0.0, (p, t)
+            exact = mpmath.exp(mpmath.findroot(
+                lambda s: mpmath.log(lower(-mpmath.exp(s))) - mpmath.log(mpmath.mpf(p)),
+                mpmath.log(-t),
+            ))
+            assert abs(-t - exact) <= 1e-12 * exact, (p, t)
+
+
 def _mp_beta_inv(mpmath, a, b, p, guess):
     """x with I_x(a, b) = p, solved in log x at 50 digits from a guess."""
     with mpmath.workdps(50):

@@ -263,7 +263,9 @@ def test_zero_d_arguments_give_floats(make):
     # with the bits that argument has as an element of an array
     dist = make(REF)
     probs = np.array([1e-300, 1e-12, 0.025, 0.3, 0.5, 0.7, 0.975, 1.0 - 1e-12])
-    xs = np.append(dist.quantile(probs), [dist.location - dist.scale, -1e100, 1e100])
+    # z = 1e-160 squares below the normal range, and +-1e300 past the float range
+    xs = np.append(dist.quantile(probs), [
+        dist.location - dist.scale, dist.location + 1e-160 * dist.scale, -1e300, 1e300])
     for method, args in ((dist.cdf, xs), (dist.logpdf, xs), (dist.pdf, xs), (dist.quantile, probs)):
         arg = args[3]
         expected = method(arg)
