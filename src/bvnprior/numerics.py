@@ -197,22 +197,27 @@ def reg_inc_beta(a, b, x):
     return _result(_sp().betainc(a, b, x), a, b, x)
 
 
+def _log_small_inverse(a, b, p):
+    """log x with I_x(a, b) = p, from the leading term (p a B(a, b))^(1/a) of
+    the small-x series I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)); exact to
+    O(x), so to rounding wherever x is below the normal range."""
+    return (np.log(p) + np.log(a) + _sp().betaln(a, b)) / a
+
+
 def reg_inc_beta_inv(a, b, p):
     """Inverse of I_.(a, b): returns x with I_x(a, b) = p.
 
     scipy returns NaN for some tiny p (below about 1e-100 at a few shapes)
     and finite but wrong values for subnormal p; there x is the leading
-    term (p a B(a, b))^(1/a) of the small-x series
-    I_x(a, b) = x^a / (a B(a, b)) (1 + O(x)), which is exact to O(x).
+    term of the small-x series (_log_small_inverse).
     """
     a, b = _require("reg_inc_beta_inv", a, b)
     p = _check_prob("reg_inc_beta_inv", p)
     out = _sp().betaincinv(a, b, p)
     lost = (out != out) | ((p > 0.0) & (p < _TINY))
     if _any(lost):
-        out = np.array(out)
-        la, lb, lp = (np.broadcast_to(v, out.shape)[lost] for v in (a, b, p))
-        out[lost] = np.exp((np.log(lp) + np.log(la) + _sp().betaln(la, lb)) / la)
+        with np.errstate(divide="ignore", over="ignore"):  # at p = 0 and on large terms
+            out = np.where(lost, np.exp(_log_small_inverse(a, b, p)), out)
     return _result(out, a, b, p)
 
 
@@ -242,12 +247,12 @@ def student_t_cdf(df, t):
         np.where(near, 0.5, half), np.where(near, half, 0.5), np.where(near, t2, df) / (df + t2)
     )
     if _any(lost):
-        mass = np.array(mass)
-        lh, ldf, lt = (np.broadcast_to(v, mass.shape)[lost] for v in (half, df, t))
-        log_z = np.log(ldf) - 2.0 * np.log(np.abs(lt))
-        mass[lost] = np.exp(lh * log_z - np.log(lh) - _sp().betaln(lh, 0.5))
-    far = np.where(t >= 0.0, 1.0 - 0.5 * mass, 0.5 * mass)
-    out = np.where(near, 0.5 + np.copysign(0.5 * mass, t), far)
+        with np.errstate(divide="ignore", over="ignore"):  # at t = 0 and small |t|
+            log_z = np.log(df) - 2.0 * np.log(np.abs(t))
+            mass = np.where(lost, np.exp(half * log_z - np.log(half) - _sp().betaln(half, 0.5)), mass)
+    # h <= 1/2, so |(t >= 0) - h| is 1 - h where t >= 0 and h where t < 0, bit for bit
+    h = 0.5 * mass
+    out = np.where(near, 0.5 + np.copysign(h, t), np.abs((t >= 0.0) - h))
     return _result(out, df, t)
 
 
@@ -272,11 +277,9 @@ def student_t_quantile(df, p):
         mag = np.sqrt(df * np.where(x <= 0.5, x / (1.0 - x), (1.0 - z) / z))
         lost = (tail > 0.0) & ((z < _TINY) | (mag == math.inf))
         if _any(lost):
-            mag = np.array(mag)
-            lh, ldf, ltail = (np.broadcast_to(v, mag.shape)[lost] for v in (half, df, tail))
             # a t past the float range stays inf
-            log_z = (np.log(ltail) + np.log(lh) + _sp().betaln(lh, 0.5)) / lh
-            mag[lost] = np.exp(0.5 * (np.log(ldf) - log_z))
+            log_z = _log_small_inverse(half, 0.5, tail)
+            mag = np.where(lost, np.exp(0.5 * (np.log(df) - log_z)), mag)
     out = np.where(p >= 0.5, mag, -mag)
     return _result(out, df, p)
 

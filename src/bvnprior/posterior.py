@@ -43,7 +43,7 @@ import numpy as np
 from . import numerics
 from .errors import DegenerateDataError, DomainError, NumericalError
 from .model import SufficientStats
-from .numerics import _result
+from .numerics import _TINY, _any, _log_small_inverse, _result
 
 __all__ = [
     "StandardFamily",
@@ -94,14 +94,21 @@ def _eta_inverse(a, b, mass, upper):
     # z with P(Z <= z) = mass, or P(Z > z) = mass if upper. P(Z <= z) is
     # I_u(a, b) at u = z^2/(1 + z^2) and P(Z > z) is I_v(b, a) at v = 1 - u.
     # The smaller tail is inverted (at 1/2, the one asked for): u or v
-    # rounds to 1 long before the other tail's mass is negligible
+    # rounds to 1 long before the other tail's mass is negligible. z^2 is
+    # 1/v or u to O(x), so where x falls below the normal range z comes
+    # from log x, the leading term of the small-x series
     mass = np.asarray(mass, dtype=float)
     v_side = (mass > 0.5) != upper
-    x = np.asarray(numerics.reg_inc_beta_inv(
-        np.where(v_side, b, a), np.where(v_side, a, b), np.minimum(mass, 1.0 - mass)
-    ))
-    with np.errstate(divide="ignore"):
-        return np.sqrt(np.where(v_side, (1.0 - x) / x, x / (1.0 - x)))
+    shape = np.where(v_side, b, a), np.where(v_side, a, b)
+    tail = np.minimum(mass, 1.0 - mass)
+    x = np.asarray(numerics.reg_inc_beta_inv(*shape, tail))
+    with np.errstate(divide="ignore", over="ignore"):
+        z = np.sqrt(np.where(v_side, (1.0 - x) / x, x / (1.0 - x)))
+        lost = x < _TINY
+        if lost.any():
+            half_log_x = 0.5 * _log_small_inverse(*shape, tail)
+            z = np.where(lost, np.exp(np.where(v_side, -half_log_x, half_log_x)), z)
+    return z
 
 
 def _eta_cdf(a, b, z):
@@ -124,9 +131,29 @@ def _eta_cdf(a, b, z):
 
 
 def _t_log_kernel(df, z):
-    # a z^2 past the float range gives -inf, as z = +-inf does, without a warning
+    # where z^2/df passes the float range (z = +-inf too) the log form
+    # -(df + 1)(log|z| - log(df)/2) is exact to rounding
     with np.errstate(over="ignore"):
-        return -0.5 * (df + 1) * np.log1p(z * z / df)
+        z2 = z * z / df
+    out = -0.5 * (df + 1) * np.log1p(z2)
+    lost = z2 == math.inf
+    if _any(lost):
+        with np.errstate(divide="ignore"):  # at z = 0, which is not lost
+            out = np.where(lost, -(df + 1) * (np.log(np.abs(z)) - 0.5 * np.log(df)), out)
+    return out
+
+
+def _eta_log_kernel(a, b, z):
+    # where z^2 passes the float range (z = inf too) log1p(z^2) is 2 log z to
+    # rounding, and the kernel (2a - 1) log z - 2(a + b) log z = -(2b + 1) log z
+    log_z = np.log(z)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf at z = inf
+        z2 = z * z
+        out = (2 * a - 1) * log_z - (a + b) * np.log1p(z2)
+    lost = z2 == math.inf
+    if _any(lost):
+        out = np.where(lost, -(2 * b + 1) * log_z, out)
+    return out
 
 
 # Student t with df degrees of freedom
@@ -171,7 +198,7 @@ GAMMA = StandardFamily(
 # Z > 0 with Z^2 ~ beta-prime(a, b), so Z^2/(1 + Z^2) ~ beta(a, b)
 SQRT_BETA_PRIME = StandardFamily(
     log_norm=lambda a, b: math.log(2.0) - numerics.log_beta(a, b),
-    log_kernel=lambda a, b, z: (2 * a - 1) * np.log(z) - (a + b) * np.log1p(z * z),
+    log_kernel=_eta_log_kernel,
     cdf=_eta_cdf,
     quantile=lambda a, b, p: _eta_inverse(a, b, p, upper=False),
     isf=lambda a, b, q: _eta_inverse(a, b, q, upper=True),

@@ -1,9 +1,11 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import argparse
+import csv
 import errno
 import functools
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -233,6 +235,44 @@ def test_verify_lemma_quick(capsys):
     assert lines[0] == "moment,claimed,estimate,stderr,n_samples,pass"
     assert len(lines) == 1 + 15
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_verify_lemma_table_and_json_carry_the_csv_checks(capsys):
+    argv = ("verify-lemma", "--samples", "100000", "--seed", "1")
+    runs = {fmt: run_cli(capsys, *argv, "--format", fmt) for fmt in ("csv", "json")}
+    runs["default"] = run_cli(capsys, *argv)
+    assert [(code, err) for code, _, err in runs.values()] == [(0, "")] * 3
+    rows = list(csv.DictReader(io.StringIO(runs["csv"][1])))
+    assert len(rows) == 15
+    assert [(c["label"], repr(c["estimate"]), c["n_samples"], c["passed"])
+            for c in json.loads(runs["json"][1])] == [
+        (r["moment"], r["estimate"], int(r["n_samples"]), r["pass"] == "true") for r in rows
+    ]
+    # the default is the table: a header naming the point, samples and seed,
+    # then one line per check
+    header, columns, *table = runs["default"][1].splitlines()
+    assert header.startswith("moment checks at beta=0.5 ")
+    assert header.endswith(", 100000 samples, seed 1")
+    assert columns.split() == ["moment", "claimed", "estimate", "stderr", "pass"]
+    assert len(table) == len(rows)
+    assert all(line.startswith(r["moment"] + " ") and line.endswith(" yes")
+               for line, r in zip(table, rows))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("coverage", "--ns", "4,x"), "not a comma-separated int list: '4,x'"),
+    (("coverage", "--rhos", "0.5,y"), "not a comma-separated float list: '0.5,y'"),
+    (("coverage", "--ns", ","), "empty list"),
+    (("verify-prior", "--grid-beta=a:2:3"), "grid axis must be lo:hi:count, got 'a:2:3'"),
+    (("verify-prior", "--grid-eta=0.5:3:x"), "grid axis must be lo:hi:count, got '0.5:3:x'"),
+], ids=["int-list", "float-list", "empty-list", "axis-bound", "axis-count"])
+def test_list_and_grid_axis_type_errors_exit_2_with_one_error_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and errors[0].endswith(message)
+    assert "Traceback" not in err
 
 
 def test_verify_lemma_does_not_depend_on_the_means(capsys):

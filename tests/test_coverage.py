@@ -535,6 +535,32 @@ def test_a_failed_bounds_lookup_fails_only_its_n(monkeypatch):
         run_cell(CoverageCellSpec(rho=0.5, n=8, replicates=150, seed=23), 4)
 
 
+def test_reports_skip_a_failed_cell_in_csv_and_mark_it_in_markdown(monkeypatch):
+    grid = dict(rhos=(0.25, 0.5), ns=(4, 8), replicates=150, seed=23)
+    healthy = run_table(**grid)
+    lookup = coverage.standard_bounds
+    shape_at_8 = BetaPosterior.pivot(8, 1.0, 0.0, 1.0)[0]
+
+    def failing(family, shape, level, kind):
+        if shape == shape_at_8:
+            raise BracketError("no sign change at n = 8")
+        return lookup(family, shape, level, kind)
+
+    monkeypatch.setattr(coverage, "standard_bounds", failing)
+    report = run_table(**grid)
+    assert [cell.ok for cell in report.cells] == [True, False, True, False]
+    # the CSV leaves the failed cells' rows out and keeps the others' bytes
+    assert report.to_csv() == "".join(
+        line for line in healthy.to_csv().splitlines(keepends=True) if line.split(",")[1] != "8"
+    )
+    # the Markdown keeps a row per cell, "failed" in each parameter's column
+    rows = report.to_markdown().splitlines()[4:]
+    assert rows == [
+        healthy.to_markdown().splitlines()[4], "| 0.25 | 8 | failed | failed | failed |",
+        healthy.to_markdown().splitlines()[6], "| 0.5 | 8 | failed | failed | failed |",
+    ]
+
+
 def test_a_degenerate_cell_fails_alone_within_its_group(monkeypatch):
     grid = dict(rhos=(0.25, 0.5, 0.75), ns=(4, 8), replicates=150, seed=29)
     healthy = run_table(**grid)

@@ -258,7 +258,8 @@ def reference_integrand_moments(powers, theta, eta, n_samples, moments=_MOMENTS)
 def test_buffered_integrands_equal_the_partial_product_loop(params, seed, monkeypatch):
     powers = _draw_residual_powers(params, 100_000, seed)
     expected = reference_integrand_moments(powers, params.theta, params.eta, 100_000)
-    # verify_score_moments overwrites one row of its powers, so it gets a copy
+    # verify_score_moments only reads its powers; it gets a copy all the same,
+    # so a write to them could not reach the expected moments
     monkeypatch.setattr(matching, "_draw_residual_powers", lambda *args: powers.copy())
     checks = verify_score_moments(params, 100_000, seed)
     assert [(c.estimate, c.stderr) for c in checks] == expected
@@ -279,8 +280,8 @@ def _pairs_reversed(moments):
 @pytest.mark.parametrize("permute", [lambda m: m[::-1], _theta_pair_first, _pairs_reversed],
                          ids=["reversed", "theta_pair_first", "pairs_reversed"])
 def test_score_moments_do_not_depend_on_the_table_order(permute, monkeypatch):
-    # the pure theta pair borrows the uv row as scratch; moved first, it
-    # used to hand garbage to four beta identities that read uv after it
+    # each integrand is built from read-only powers into buffers of its own,
+    # so no order of the table can hand one integrand another's scratch
     point = OrthogonalParams(0.0, 0.0, 0.4, 1.7, 0.8)
     expected = {c.label: (c.estimate, c.stderr, c.passed)
                 for c in verify_score_moments(point, 100_000, seed=5)}

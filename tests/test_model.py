@@ -322,6 +322,50 @@ def test_sufficient_stats_raises_on_float_overflow(data):
 
 
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls, fields", [
+    (OriginalParams, dict(mu1=0.3, mu2=-1.1, sigma1=1.2, sigma2=0.7, rho=0.4)),
+    (OrthogonalParams, dict(mu1=0.3, mu2=-1.1, beta=0.8, theta=1.4, eta=0.7)),
+], ids=["original", "orthogonal"])
+def test_params_reject_non_finite_fields(cls, fields, value):
+    for field in fields:
+        with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+            cls(**{**fields, field: value})
+
+
+@pytest.mark.parametrize("changes, error, message", [
+    (dict(n=2), DomainError, "n >= 3"),
+    (dict(s11=0.0), DegenerateDataError, "s11 must be positive"),
+    (dict(s11=-9.0), DegenerateDataError, "s11 must be positive"),
+    (dict(s22=-5.0), DomainError, "cannot be negative"),
+    (dict(s22_1=-4.0), DomainError, "cannot be negative"),
+    (dict(s12=7.0), DomainError, r"s12\^2 exceeds s11 \* s22"),
+], ids=["n", "s11-zero", "s11-negative", "s22", "s22_1", "s12"])
+def test_sufficient_stats_checks_each_field(changes, error, message):
+    fields = dict(n=10, xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0, s22_1=4.0)
+    with pytest.raises(error, match=message):
+        SufficientStats(**{**fields, **changes})
+
+
+@pytest.mark.parametrize("shape", [(6,), (5, 3), (3, 2, 2), (4, 1)])
+def test_sufficient_stats_and_write_dataset_reject_a_bad_shape(tmp_path, shape):
+    data = np.arange(float(np.prod(shape))).reshape(shape)
+    with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+        sufficient_stats(data)
+    path = tmp_path / "data.csv"
+    with pytest.raises(DomainError, match=r"\(n, 2\) array"):
+        write_dataset(path, data)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_sufficient_stats_rejects_non_finite_data(value):
+    data = np.array([[0.0, 1.0], [1.0, 3.0], [2.0, 4.0], [3.0, 8.0]])
+    data[2, 1] = value
+    with pytest.raises(DomainError, match="data must be finite"):
+        sufficient_stats(data)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 @pytest.mark.parametrize("field", ["xbar1", "xbar2", "s11", "s22", "s12", "s22_1"])
 def test_sufficient_stats_rejects_non_finite_fields(field, value):
     fields = dict(n=10, xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0, s22_1=4.0)

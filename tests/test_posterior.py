@@ -18,7 +18,7 @@ from scipy.integrate import quad
 
 from bvnprior import numerics
 from bvnprior.cli import main
-from bvnprior.errors import DomainError
+from bvnprior.errors import DegenerateDataError, DomainError
 from bvnprior.model import (
     OriginalParams,
     read_dataset,
@@ -394,6 +394,82 @@ def test_eta_quantile_of_tiny_p_round_trips(n):
         upper = float(SQRT_BETA_PRIME.isf(*shape, p))
         assert math.isfinite(upper) and upper > 1.0
         assert _eta_upper_tail(*shape, upper) == pytest.approx(p, rel=1e-12)
+
+
+@pytest.mark.parametrize("make", [beta_posterior, theta_posterior, precision_posterior,
+                                  eta_posterior])
+def test_posteriors_reject_a_zero_residual_sum_and_a_nan_argument(make):
+    # s22_1 = 0 passes SufficientStats (exactly collinear data) but leaves
+    # every posterior without a scale
+    collinear = SufficientStats(n=10, xbar1=0.0, xbar2=0.0, s11=1.0, s22=4.0, s12=2.0, s22_1=0.0)
+    with pytest.raises(DegenerateDataError, match="s22.1 must be positive"):
+        make(collinear)
+    dist = make(REF)
+    for x in (math.nan, np.array([dist.mode(), math.nan])):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            dist.cdf(x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 10])
+def test_eta_far_tails_match_mpmath(n):
+    # where the inverted tail x leaves the normal range, isf stopped near
+    # 6.7e153 at n = 3 (x stuck at the smallest normal float), and a
+    # subnormal x overflowed (1 - x)/x with a warning; z now comes from log x
+    mpmath = pytest.importorskip("mpmath")
+    shape = _shape("eta", n)
+    qs = np.append(np.geomspace(1e-100, 1e-320, 45), 5e-324)
+    tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+    for name, side in (("quantile", 1), ("isf", -1)):
+        f = getattr(SQRT_BETA_PRIME, name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            zs = f(*shape, qs)
+            assert _bits([f(*shape, float(q)) for q in qs]) == _bits(zs), name
+        # P(Z <= z) = I_u(a, b) at u = 1/(1 + z^-2), P(Z > z) = I_v(b, a) at
+        # v = 1/(1 + z^2); solved in log z from the small-x leading term
+        with mpmath.workdps(40):
+            first, second = (mpmath.mpf(x) for x in shape[::side])
+            for q, z in zip(qs, zs):
+                q = mpmath.mpf(float(q))
+                exact = mpmath.exp(mpmath.findroot(
+                    lambda y: mpmath.log(mpmath.betainc(
+                        first, second, 0, 1 / (1 + mpmath.exp(-2 * side * y)), regularized=True
+                    )) - mpmath.log(q),
+                    side * mpmath.log(q * first * mpmath.beta(first, second)) / (2 * first),
+                ))
+                if exact > huge:
+                    assert z == math.inf, (name, q, z)
+                else:
+                    assert exact >= tiny
+                    assert abs(z - exact) <= 1e-12 * exact, (name, q, z)
+
+
+@pytest.mark.parametrize("name,n", [("t", 3), ("t", 4), ("t", 12), ("eta", 3), ("eta", 4),
+                                    ("eta", 12)])
+def test_log_kernels_past_the_float_range_match_mpmath(name, n):
+    # where z^2 (or z^2/df) overflows, log1p(z^2) read inf, so the kernel read
+    # -inf (the eta one with an overflow warning on arrays); both take the log form
+    mpmath = pytest.importorskip("mpmath")
+    family, shape = FAMILIES[name], _shape(name, n)
+    zs = np.array([1e160, 1e200, 1e300])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = family.log_kernel(*shape, zs)
+        assert _bits([family.log_kernel(*shape, float(z)) for z in zs]) == _bits(got)
+    with mpmath.workdps(40):
+        for z, value in zip(zs, got):
+            x = mpmath.mpf(z)
+            if name == "t":
+                df = mpmath.mpf(shape[0])
+                exact = -(df + 1) / 2 * mpmath.log(1 + x * x / df)
+            else:
+                a, b = (mpmath.mpf(s) for s in shape)
+                exact = (2 * a - 1) * mpmath.log(x) - (a + b) * mpmath.log(1 + x * x)
+            assert abs(value - exact) <= 1e-12 * abs(exact), (z, value)
+    # so the posterior's log density stays finite there
+    dist = POSTERIORS[name](SufficientStats(n=n, xbar1=0.0, xbar2=0.0, s11=1.0, s22=1.0,
+                                            s12=0.0, s22_1=1.0))
+    assert math.isfinite(dist.logpdf(dist.location + 1e300 * dist.scale))
 
 
 def _eta_cdf_two_calls(a, b, z):
