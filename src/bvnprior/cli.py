@@ -149,10 +149,8 @@ def _cmd_interval(args) -> int:
         iv = hpd_unimodal(dist, args.level)
     elif args.kind == "equal_tailed":
         iv = equal_tailed(dist, args.level)
-    elif args.kind == "upper_one_sided":
-        iv = one_sided(dist, args.level, "upper")
     else:
-        iv = one_sided(dist, args.level, "lower")
+        iv = one_sided(dist, args.level, args.kind.removesuffix("_one_sided"))
     _write_text(args.output, iv.to_json(indent=2) + "\n")
     return 0
 

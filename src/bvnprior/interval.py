@@ -9,13 +9,14 @@ both rescale it.
 
 Every kind is a tail split: with alpha = 1 - level, the interval leaves
 mass p below and alpha - p above, (quantile(p), isf(alpha - p)).
-Equal-tailed takes p = alpha/2, upper one-sided p = 0 and lower
-one-sided p = alpha. An interval of a strictly unimodal density is the
-shortest of its mass (HPD) exactly where its end densities are equal, so
-the HPD split is the one root of log_kernel(lo) - log_kernel(hi), which
-runs from -inf (p -> 0) to +inf (p -> alpha). One bracketed root find on
-s = log(p / (alpha - p)) locates it. The symmetric t needs none: its HPD
-split is p = alpha/2.
+One table, _LOWER_TAIL, gives each kind's p as a fraction of alpha:
+equal-tailed 1/2, upper one-sided 0, lower one-sided 1, and HPD 1/2,
+its split for a symmetric family such as the t. An interval of a
+strictly unimodal density is the shortest of its mass (HPD) exactly
+where its end densities are equal, so an asymmetric family's HPD split
+is the one root of log_kernel(lo) - log_kernel(hi), which runs from -inf
+(p -> 0) to +inf (p -> alpha). One bracketed root find on
+s = log(p / (alpha - p)) locates it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,9 @@ __all__ = [
     "KINDS",
 ]
 
-KINDS = ("hpd", "equal_tailed", "upper_one_sided", "lower_one_sided")
+# each kind's lower tail mass as a fraction of alpha = 1 - level
+_LOWER_TAIL = {"hpd": 0.5, "equal_tailed": 0.5, "upper_one_sided": 0.0, "lower_one_sided": 1.0}
+KINDS = tuple(_LOWER_TAIL)
 
 
 @dataclass(frozen=True)
@@ -145,16 +148,10 @@ def standard_bounds(family: StandardFamily, shape: tuple, level: float, kind: st
     _check_kind(kind)
     numerics._check_level(level)
     alpha = 1.0 - level
-    tails = {
-        "hpd": alpha / 2.0,
-        "equal_tailed": alpha / 2.0,
-        "upper_one_sided": 0.0,
-        "lower_one_sided": alpha,
-    }
     with np.errstate(divide="ignore"):
         if kind == "hpd" and not family.symmetric:
             return _solve_hpd(family, shape, alpha)
-        p = tails[kind]
+        p = alpha * _LOWER_TAIL[kind]
         return float(family.quantile(*shape, p)), float(family.isf(*shape, alpha - p))
 
 

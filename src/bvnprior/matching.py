@@ -15,10 +15,11 @@ Two independent kinds of evidence are produced:
 * pde_residual / verify_prior evaluate the reduced partial differential
   identities that characterize matching priors - for the posterior
   distribution function, HPD regions, and likelihood-ratio regions of each
-  of beta, theta, eta - on a grid, either from hand-coded prior partials or
-  from finite differences of the prior density. A matching prior drives
-  every residual to zero; the flat prior is kept as a built-in
-  counterexample.
+  of beta, theta, eta - on a grid, either from closed-form prior partials
+  or from finite differences of the prior density. A matching prior drives
+  every residual to zero. Both built-ins are the power prior theta^a eta^b:
+  the matching prior 1/(theta eta) at (-1, -1), and the flat prior, a
+  counterexample, at (0, 0).
 
 Each identity is written once, in CONDITIONS, as the rows of its
 product-rule expansion: (c, i, j, field) stands for the term
@@ -119,33 +120,22 @@ class PriorSpec:
     analytic_partials: Callable[[np.ndarray, np.ndarray, np.ndarray], PriorPartials] | None = None
 
 
-def _matching_log(b, t, e):
-    return -math.log(t) - math.log(e)
+def _power_prior(name: str, a: float, b: float) -> PriorSpec:
+    """The prior theta^a eta^b, with the closed-form partials of its density."""
+
+    def log_prior(_, t, e):
+        return a * math.log(t) + b * math.log(e)
+
+    def analytic_partials(_, t, e):
+        v = 1.0 / (t**-a * e**-b)
+        return PriorPartials(v, 0.0, a * v / t, b * v / e,
+                             0.0, a * (a - 1) * v / (t * t), b * (b - 1) * v / (e * e))
+
+    return PriorSpec(name, log_prior, analytic_partials)
 
 
-def _matching_partials(b, t, e):
-    v = 1.0 / (t * e)
-    return PriorPartials(
-        value=v,
-        d_beta=0.0,
-        d_theta=-v / t,
-        d_eta=-v / e,
-        d2_beta=0.0,
-        d2_theta=2.0 * v / (t * t),
-        d2_eta=2.0 * v / (e * e),
-    )
-
-
-def _flat_log(b, t, e):
-    return 0.0
-
-
-def _flat_partials(b, t, e):
-    return PriorPartials(1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-
-
-MATCHING_PRIOR = PriorSpec("matching", _matching_log, _matching_partials)
-FLAT_PRIOR = PriorSpec("flat", _flat_log, _flat_partials)
+MATCHING_PRIOR = _power_prior("matching", -1.0, -1.0)
+FLAT_PRIOR = _power_prior("flat", 0.0, 0.0)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,9 @@ the shape, location and scale come from the sufficient statistics:
 PosteriorDistribution writes the location-scale algebra once; each subclass
 declares its StandardFamily and its pivot, the one map from the statistics
 to (shape, location, scale), which accepts arrays of statistics, so the
-coverage engine uses the same definitions replicate-wise.
+coverage engine uses the same definitions replicate-wise. The factories
+beta_posterior, theta_posterior, precision_posterior and eta_posterior
+are those classes under their lower-case names.
 
 A note on the beta scale: the 1/S11 factor inside the scale is easy to drop
 when simplifying Q(beta)/S11, and dropping it silently destroys the
@@ -342,21 +344,7 @@ class EtaPosterior(PosteriorDistribution):
         return ((n - 1) / 2.0, (n - 2) / 2.0), 0.0, np.sqrt(s22_1 / s11)
 
 
-def beta_posterior(stats: SufficientStats) -> BetaPosterior:
-    """Student-t marginal posterior of the slope beta."""
-    return BetaPosterior(stats)
-
-
-def theta_posterior(stats: SufficientStats) -> ThetaPosterior:
-    """Inverted-gamma marginal posterior of theta."""
-    return ThetaPosterior(stats)
-
-
-def precision_posterior(stats: SufficientStats) -> PrecisionPosterior:
-    """Gamma marginal posterior of w = 1/theta."""
-    return PrecisionPosterior(stats)
-
-
-def eta_posterior(stats: SufficientStats) -> EtaPosterior:
-    """Marginal posterior of eta (scaled square root of a beta-prime)."""
-    return EtaPosterior(stats)
+beta_posterior = BetaPosterior
+theta_posterior = ThetaPosterior
+precision_posterior = PrecisionPosterior
+eta_posterior = EtaPosterior

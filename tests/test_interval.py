@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
+from bvnprior import numerics
 from bvnprior.errors import BracketError, DomainError
 from bvnprior.interval import (
     KINDS,
@@ -30,6 +31,7 @@ from bvnprior.model import OriginalParams, SufficientStats, sample, sufficient_s
 from bvnprior.posterior import (
     EtaPosterior,
     PrecisionPosterior,
+    StandardFamily,
     ThetaPosterior,
     beta_posterior,
     eta_posterior,
@@ -332,6 +334,40 @@ def test_hpd_solve_evaluates_each_tail_mass_once(param, n, level):
     # the root is a split Brent evaluated, so its bounds are returned as
     # computed; a call after the root find would repeat its tail masses
     assert (lo, hi) in zip(bounds["quantile"], bounds["isf"])
+
+
+def left_skewed_beta():
+    """A fresh Beta(a, b) family, so each call misses the bounds memo; with
+    a > b its HPD leaves more than alpha/2 below."""
+    return StandardFamily(
+        log_norm=lambda a, b: -numerics.log_beta(a, b),
+        log_kernel=lambda a, b, z: (a - 1) * np.log(z) + (b - 1) * np.log1p(-z),
+        cdf=lambda a, b, z: numerics.reg_inc_beta(a, b, np.minimum(z, 1.0)),
+        quantile=lambda a, b, p: numerics.reg_inc_beta_inv(a, b, p),
+        isf=lambda a, b, q: 1.0 - numerics.reg_inc_beta_inv(b, a, q),
+        mode=lambda a, b: (a - 1) / (a + b - 2),
+        mean=lambda a, b: a / (a + b),
+    )
+
+
+@pytest.mark.parametrize("shape,level,s_hi", [
+    ((8.0, 1.5), 0.8, 4.0), ((8.0, 1.5), 0.95, 8.0), ((3.0, 1.1), 0.95, 32.0),
+])
+def test_hpd_doubles_the_upper_split_end(shape, level, s_hi, monkeypatch):
+    # the split s = log(p / (alpha - p)) lies above 1, so the upper end of
+    # the bracket is doubled until its gap is positive
+    brackets, find_root = [], numerics.find_root
+
+    def recorded(f, lo, hi):
+        brackets.append((lo, hi))
+        return find_root(f, lo, hi)
+
+    monkeypatch.setattr(numerics, "find_root", recorded)
+    family = left_skewed_beta()
+    lo, hi = standard_bounds(family, shape, level, "hpd")
+    assert brackets == [(-1.0, s_hi)]
+    assert abs(family.log_kernel(*shape, lo) - family.log_kernel(*shape, hi)) <= 1e-9
+    assert family.cdf(*shape, hi) - family.cdf(*shape, lo) == pytest.approx(level, abs=1e-12)
 
 
 # every asymmetric family at n from 4 to 59 and far out, at levels from

@@ -946,13 +946,21 @@ def power_reading(condition, a, b, t, e, falling=lambda x, k: math.prod(x - m fo
 POWERS = [(-1, -1), (0, 0), (-1, -2), (0.5, 2), (-2.5, 1.5), (3, -1)]
 
 
+# the test's own power prior, and the package's, which builds both built-ins
+POWER_PRIORS = {
+    "oracle": power_prior,
+    "package": lambda a, b: matching._power_prior(f"power({a}, {b})", a, b),
+}
+
+
 @pytest.mark.parametrize("grid", EQUALITY_GRIDS[:2])
 @pytest.mark.parametrize("a, b", POWERS)
-def test_power_prior_residuals_are_read_off_the_rows(a, b, grid):
+@pytest.mark.parametrize("make", POWER_PRIORS.values(), ids=POWER_PRIORS)
+def test_power_prior_residuals_are_read_off_the_rows(make, a, b, grid):
     _, theta_ax, eta_ax = grid.axes()
     t, e = theta_ax[:, None], eta_ax[None, :]
     pi = t**a * e**b
-    for report in verify_prior(power_prior(a, b), grid):
+    for report in verify_prior(make(a, b), grid):
         terms = power_reading(CONDITIONS[report.condition_id], a, b, t, e)
         expected = np.abs(pi * sum(terms, np.zeros_like(pi)))
         size = pi * sum(map(np.abs, terms), np.zeros_like(pi))

@@ -331,6 +331,7 @@ def test_find_root_simple_polynomial():
 
 def test_find_root_accepts_root_at_endpoint():
     assert find_root(lambda x: x - 1.0, 1.0, 3.0) == 1.0
+    assert find_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
 
 def test_find_root_rejects_unbracketed_sign():

@@ -33,6 +33,7 @@ from bvnprior.posterior import (
     STUDENT_T,
     BetaPosterior,
     EtaPosterior,
+    PosteriorDistribution,
     PrecisionPosterior,
     ThetaPosterior,
     beta_posterior,
@@ -408,6 +409,21 @@ def test_posteriors_reject_a_zero_residual_sum_and_a_nan_argument(make):
     for x in (math.nan, np.array([dist.mode(), math.nan])):
         with pytest.raises(DomainError, match="must not be NaN"):
             dist.cdf(x)
+
+
+def test_the_base_posterior_has_no_pivot():
+    with pytest.raises(NotImplementedError):
+        PosteriorDistribution(REF)
+
+
+def test_the_factories_are_the_classes():
+    import bvnprior
+    from bvnprior import posterior
+
+    for name, cls in (("beta_posterior", BetaPosterior), ("theta_posterior", ThetaPosterior),
+                      ("precision_posterior", PrecisionPosterior),
+                      ("eta_posterior", EtaPosterior)):
+        assert getattr(bvnprior, name) is getattr(posterior, name) is cls
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 10])
