@@ -8,6 +8,13 @@ division by zero at extreme parameters).
 All output is deterministic: rerunning a command with the same flags and
 seed produces byte-identical bytes. Coverage seeds must lie in [0, 2**64).
 
+Every command takes --output (default stdout) as its last option. Each
+_cmd_* returns (chunks, exit code): the text of its output, and 0, or 4
+for a failed check or coverage cell. main() writes the chunks once, in
+place (model._write_in_place), after the command returns, so an error
+exit writes nothing and a failed check writes its whole report. Every
+JSON output is indented by 2 and ends in a newline.
+
 One parser, built at the first main() call, serves the process. main()
 hands the arguments after a command name straight to that command's
 parser, one argparse pass where the top-level parser would add a second,
@@ -48,12 +55,12 @@ from .matching import (
 from .model import (
     OriginalParams,
     OrthogonalParams,
+    _dataset_chunks,
     _write_in_place,
     read_dataset,
     sample,
     sufficient_stats,
     to_orthogonal,
-    write_dataset,
 )
 from .posterior import (
     beta_posterior,
@@ -68,6 +75,8 @@ _POSTERIORS = {
     "w": precision_posterior,
     "eta": eta_posterior,
 }
+
+_PRIORS = {p.name: p for p in (MATCHING_PRIOR, FLAT_PRIOR)}
 
 _QUANTILE_PROBS = (0.025, 0.25, 0.5, 0.75, 0.975)
 
@@ -88,11 +97,9 @@ def _list_of(kind):
 
 
 def _grid_axis(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"grid axis must be lo:hi:count, got {text!r}")
     try:
-        return (float(parts[0]), float(parts[1]), int(parts[2]))
+        lo, hi, count = text.split(":")
+        return (float(lo), float(hi), int(count))
     except ValueError:
         raise argparse.ArgumentTypeError(f"grid axis must be lo:hi:count, got {text!r}")
 
@@ -105,28 +112,25 @@ def _add_model_flags(sub, rho_default=0.0):
     sub.add_argument("--rho", type=float, default=rho_default, help="correlation")
 
 
-def _write_text(path, text: str):
-    _write_in_place(sys.stdout if path is None else path, (text,))
-
-
 def _read_stats(path):
     return sufficient_stats(read_dataset(sys.stdin if path == "-" else path))
 
 
-def _cmd_sample(args) -> int:
+def _json(payload):
+    """The one chunk of payload as indented JSON."""
+    return (json.dumps(payload, indent=2) + "\n",)
+
+
+def _cmd_sample(args):
     params = OriginalParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.rho)
-    data = sample(params, args.n, args.seed)
-    write_dataset(sys.stdout if args.output is None else args.output, data)
-    return 0
+    return _dataset_chunks(sample(params, args.n, args.seed)), 0
 
 
-def _cmd_stats(args) -> int:
-    payload = dataclasses.asdict(_read_stats(args.input))
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
-    return 0
+def _cmd_stats(args):
+    return _json(dataclasses.asdict(_read_stats(args.input))), 0
 
 
-def _cmd_posterior(args) -> int:
+def _cmd_posterior(args):
     st = _read_stats(args.input)
     dist = _POSTERIORS[args.param](st)
     quantiles = dict(zip((f"{p:g}" for p in _QUANTILE_PROBS),
@@ -139,11 +143,10 @@ def _cmd_posterior(args) -> int:
         "median": quantiles["0.5"],
         "quantiles": quantiles,
     }
-    _write_text(args.output, json.dumps(payload, indent=2) + "\n")
-    return 0
+    return _json(payload), 0
 
 
-def _cmd_interval(args) -> int:
+def _cmd_interval(args):
     dist = _POSTERIORS[args.param](_read_stats(args.input))
     if args.kind == "hpd":
         iv = hpd_unimodal(dist, args.level)
@@ -151,11 +154,10 @@ def _cmd_interval(args) -> int:
         iv = equal_tailed(dist, args.level)
     else:
         iv = one_sided(dist, args.level, args.kind.removesuffix("_one_sided"))
-    _write_text(args.output, iv.to_json(indent=2) + "\n")
-    return 0
+    return _json(iv.to_dict()), 0
 
 
-def _cmd_coverage(args) -> int:
+def _cmd_coverage(args):
     report = run_table(
         rhos=args.rhos,
         ns=args.ns,
@@ -165,45 +167,37 @@ def _cmd_coverage(args) -> int:
         seed=args.seed,
     )
     text = report.to_markdown() if args.format == "markdown" else report.to_csv()
-    _write_text(args.output, text)
-    return 0 if report.all_ok else 4
+    return (text,), 0 if report.all_ok else 4
 
 
-def _cmd_verify_lemma(args) -> int:
+def _cmd_verify_lemma(args):
     point = to_orthogonal(
         OriginalParams(args.mu1, args.mu2, args.sigma1, args.sigma2, args.rho)
     )
     checks = verify_score_moments(point, n_samples=args.samples, seed=args.seed)
+    code = 0 if all(c.passed for c in checks) else 4
     if args.format == "csv":
-        text = moment_report_csv(checks)
-    elif args.format == "json":
-        text = json.dumps([dataclasses.asdict(c) for c in checks], indent=2) + "\n"
-    else:
-        header = (
-            f"moment checks at beta={point.beta:.6g} theta={point.theta:.6g} "
-            f"eta={point.eta:.6g}, {args.samples} samples, seed {args.seed}\n"
-        )
-        text = header + moment_report_table(checks)
-    _write_text(args.output, text)
-    return 0 if all(c.passed for c in checks) else 4
+        return (moment_report_csv(checks),), code
+    if args.format == "json":
+        return _json([dataclasses.asdict(c) for c in checks]), code
+    header = (
+        f"moment checks at beta={point.beta:.6g} theta={point.theta:.6g} "
+        f"eta={point.eta:.6g}, {args.samples} samples, seed {args.seed}\n"
+    )
+    return (header + moment_report_table(checks),), code
 
 
-def _cmd_verify_prior(args) -> int:
-    prior = {"matching": MATCHING_PRIOR, "flat": FLAT_PRIOR}[args.prior]
+def _cmd_verify_prior(args):
+    prior = _PRIORS[args.prior]
     grid = GridSpec(beta=args.grid_beta, theta=args.grid_theta, eta=args.grid_eta)
     reports = verify_prior(prior, grid)
+    code = 0 if all(r.passed for r in reports) else 4
     if args.format == "csv":
-        text = residual_report_csv(reports)
-    elif args.format == "json":
-        payload = [{**dataclasses.asdict(r), "pass": r.passed} for r in reports]
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        text = (
-            f"matching-condition residuals for the {prior.name} prior\n"
-            + residual_report_table(reports)
-        )
-    _write_text(args.output, text)
-    return 0 if all(r.passed for r in reports) else 4
+        return (residual_report_csv(reports),), code
+    if args.format == "json":
+        return _json([{**dataclasses.asdict(r), "pass": r.passed} for r in reports]), code
+    title = f"matching-condition residuals for the {prior.name} prior\n"
+    return (title + residual_report_table(reports),), code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,30 +216,22 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--n", type=int, required=True, help="number of pairs")
     p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed")
-    p.add_argument("--output", default=None, help="output CSV path (default stdout)")
     p.set_defaults(func=_cmd_sample)
 
     p = sub.add_parser("stats", help="sufficient statistics of a dataset as JSON")
     p.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("posterior", help="summary of one marginal posterior as JSON")
     p.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
     p.add_argument("--param", required=True, choices=sorted(_POSTERIORS))
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_posterior)
 
     p = sub.add_parser("interval", help="credible interval as JSON")
     p.add_argument("--input", required=True, help="dataset CSV path, or - for stdin")
     p.add_argument("--param", required=True, choices=sorted(_POSTERIORS))
-    p.add_argument(
-        "--kind",
-        default="hpd",
-        choices=KINDS,
-    )
+    p.add_argument("--kind", default="hpd", choices=KINDS)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_interval)
 
     p = sub.add_parser("coverage", help="frequentist coverage simulation table")
@@ -253,14 +239,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ns", type=_list_of(int), default=TABLE_NS)
     p.add_argument("--replicates", type=int, default=5000)
     p.add_argument("--level", type=float, default=0.95)
-    p.add_argument(
-        "--kind",
-        default="hpd",
-        choices=KINDS,
-    )
+    p.add_argument("--kind", default="hpd", choices=KINDS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", default="csv", choices=("csv", "markdown"))
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_coverage)
 
     p = sub.add_parser(
@@ -271,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", default="table", choices=("table", "csv", "json"))
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify_lemma)
 
     p = sub.add_parser(
@@ -282,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
         "prior",
         nargs="?",
         default="matching",
-        choices=("matching", "flat"),
+        choices=_PRIORS,
         help="which built-in prior to check",
     )
     # argparse reads the -2:2:9 of "--grid-beta -2:2:9" as an option, so a
@@ -297,8 +277,11 @@ def build_parser() -> argparse.ArgumentParser:
             help=f"{axis} axis of the grid, default --grid-{axis}={note}",
         )
     p.add_argument("--format", default="table", choices=("table", "csv", "json"))
-    p.add_argument("--output", default=None, help="output path (default stdout)")
     p.set_defaults(func=_cmd_verify_prior)
+
+    # the last option of every command
+    for p in sub.choices.values():
+        p.add_argument("--output", default=None, help="output path (default stdout)")
 
     # main() hands a named command's arguments to its parser directly
     parser.commands = sub.choices
@@ -332,8 +315,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.func(args)
-    except (DomainError, DegenerateDataError) as exc:
+        chunks, code = args.func(args)
+        _write_in_place(sys.stdout if args.output is None else args.output, chunks)
+        return code
+    except (DomainError, DegenerateDataError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (NumericalError, BracketError) as exc:
@@ -343,9 +328,6 @@ def main(argv=None) -> int:
         # float overflow or division by zero at extreme parameters
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    except (OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

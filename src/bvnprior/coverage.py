@@ -42,8 +42,6 @@ is the one-cell group, and worker processes take whole n-groups.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -55,7 +53,7 @@ from .interval import _check_kind, standard_bounds
 # sample and sufficient_stats are not called here; they stay bound in
 # this namespace because the benchmark's span recorder wraps
 # coverage.sample and coverage.sufficient_stats by name
-from .model import OriginalParams, sample, sufficient_stats, to_orthogonal  # noqa: F401
+from .model import OriginalParams, _csv_text, sample, sufficient_stats, to_orthogonal  # noqa: F401
 from .numerics import _check_count, _check_level, _sp
 from .posterior import BetaPosterior, EtaPosterior, ThetaPosterior
 
@@ -177,30 +175,13 @@ class CoverageReport:
 
     def to_csv(self) -> str:
         """CSV rows rho,n,param,kind,level,coverage,stderr,replicates,failures."""
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["rho", "n", "param", "kind", "level", "coverage", "stderr",
-             "replicates", "failures"]
+        return _csv_text(
+            ("rho", "n", "param", "kind", "level", "coverage", "stderr", "replicates",
+             "failures"),
+            ((repr(c.rho), c.n, param, c.kind, repr(c.level), f"{c.coverage[param]:.6f}",
+              f"{c.stderr[param]:.6f}", c.replicates_used, c.failures)
+             for c in self.cells if c.ok for param in _PARAMS),
         )
-        for c in self.cells:
-            if not c.ok:
-                continue
-            for param in _PARAMS:
-                writer.writerow(
-                    [
-                        repr(c.rho),
-                        c.n,
-                        param,
-                        c.kind,
-                        repr(c.level),
-                        f"{c.coverage[param]:.6f}",
-                        f"{c.stderr[param]:.6f}",
-                        c.replicates_used,
-                        c.failures,
-                    ]
-                )
-        return buf.getvalue()
 
     def to_markdown(self) -> str:
         """Markdown table with one row per (rho, n) and a column per parameter."""

@@ -40,8 +40,6 @@ identity.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, fields
 from functools import reduce
@@ -57,6 +55,7 @@ from .numerics import _check_count
 # namespace because the benchmark's span recorder wraps them as matching attributes
 from .model import (
     OrthogonalParams,
+    _csv_text,
     _draw_residual_powers,
     _partial,
     log_density_partial,  # noqa: F401
@@ -539,25 +538,12 @@ def verify_score_moments(
 def residual_report_csv(reports: list[ResidualReport]) -> str:
     """CSV with columns condition_id,prior,max_abs_residual,worst_beta,
     worst_theta,worst_eta,pass."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["condition_id", "prior", "max_abs_residual", "worst_beta", "worst_theta",
-         "worst_eta", "pass"]
+    return _csv_text(
+        ("condition_id", "prior", "max_abs_residual", "worst_beta", "worst_theta",
+         "worst_eta", "pass"),
+        ((r.condition_id, r.prior_name, f"{r.max_abs_residual:.6e}",
+          *map(repr, r.worst_point), str(r.passed).lower()) for r in reports),
     )
-    for r in reports:
-        writer.writerow(
-            [
-                r.condition_id,
-                r.prior_name,
-                f"{r.max_abs_residual:.6e}",
-                repr(r.worst_point[0]),
-                repr(r.worst_point[1]),
-                repr(r.worst_point[2]),
-                str(r.passed).lower(),
-            ]
-        )
-    return buf.getvalue()
 
 
 def residual_report_table(reports: list[ResidualReport]) -> str:
@@ -575,15 +561,11 @@ def residual_report_table(reports: list[ResidualReport]) -> str:
 
 
 def moment_report_csv(checks: list[ExpectationCheck]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["moment", "claimed", "estimate", "stderr", "n_samples", "pass"])
-    for c in checks:
-        writer.writerow(
-            [c.label, repr(c.claimed), repr(c.estimate), repr(c.stderr),
-             c.n_samples, str(c.passed).lower()]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ("moment", "claimed", "estimate", "stderr", "n_samples", "pass"),
+        ((c.label, repr(c.claimed), repr(c.estimate), repr(c.stderr), c.n_samples,
+          str(c.passed).lower()) for c in checks),
+    )
 
 
 def moment_report_table(checks: list[ExpectationCheck]) -> str:

@@ -20,17 +20,21 @@ eta^-2). The log density factors as
             - eta (x1 - mu1)^2 / (2 theta)
 
 which is the form every derivative in this module is taken from.
+
+The module also holds the package's text input and output: read_dataset
+and write_dataset for datasets, _csv_text for every CSV report, and
+_write_in_place, the one writer of the CLI's output and of write_dataset.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import math
 import os
 import stat
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +58,17 @@ __all__ = [
 ]
 
 
+def _check_finite_fields(record):
+    """DomainError "<field> must be finite" at the first field that is not a finite real."""
+    for field in fields(record):
+        try:
+            finite = math.isfinite(getattr(record, field.name))
+        except TypeError:  # not a real number
+            finite = False
+        if not finite:
+            raise DomainError(f"{field.name} must be finite")
+
+
 @dataclass(frozen=True)
 class OriginalParams:
     """Means, standard deviations, and correlation of the bivariate normal."""
@@ -65,9 +80,7 @@ class OriginalParams:
     rho: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "sigma1", "sigma2", "rho"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        _check_finite_fields(self)
         if self.sigma1 <= 0.0 or self.sigma2 <= 0.0:
             raise DomainError("standard deviations must be positive")
         if not abs(self.rho) < 1.0:
@@ -85,9 +98,7 @@ class OrthogonalParams:
     eta: float
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "beta", "theta", "eta"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        _check_finite_fields(self)
         if self.theta <= 0.0 or self.eta <= 0.0:
             raise DomainError("theta and eta must be positive")
 
@@ -109,7 +120,8 @@ class SufficientStats:
     """Sample size, means, and centered sums of squares and cross products.
 
     s11, s22, s12 are sums (not divided by n); s22_1 = s22 - s12^2/s11 is
-    the residual sum of squares of x2 after regression on x1.
+    the residual sum of squares of x2 after regression on x1. n is an
+    integer >= 3, stored as a Python int.
     """
 
     n: int
@@ -121,8 +133,11 @@ class SufficientStats:
     s22_1: float
 
     def __post_init__(self):
-        if self.n < 3:
-            raise DomainError("inference needs n >= 3 observations")
+        try:
+            n = _check_count(self.n, "n", 3)
+        except DomainError:
+            raise DomainError("inference needs an integer n >= 3 observations") from None
+        object.__setattr__(self, "n", n)
         sums = (self.xbar1, self.xbar2, self.s11, self.s22, self.s12, self.s22_1)
         if not all(map(math.isfinite, sums)):
             raise DomainError("sufficient statistics must be finite")
@@ -367,25 +382,40 @@ def _write_in_place(file, chunks) -> None:
         os.close(fd)
 
 
-# rows formatted per write_dataset chunk, so a large dataset is never held
-# as one string
+def _csv_text(header, rows) -> str:
+    """CSV text of a header row and then rows, each a sequence of fields, with LF line ends."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+# rows formatted per dataset chunk, so a large dataset is never held as
+# one string
 _CSV_ROWS = 1 << 16
+
+
+def _dataset_chunks(arr):
+    """The CSV text of an (n, 2) float array: header x1,x2, then blocks of _CSV_ROWS rows.
+
+    Each field is the repr of its float, which never needs CSV quoting.
+    """
+    yield "x1,x2\n"
+    for i in range(0, arr.shape[0], _CSV_ROWS):
+        yield "".join(f"{a!r},{b!r}\n" for a, b in arr[i:i + _CSV_ROWS].tolist())
 
 
 def write_dataset(file, data) -> None:
     """Write pairs as CSV with header x1,x2; file is a path or text handle.
 
-    Each field is the repr of its float, which never needs CSV quoting. A
-    path is written in place (see _write_in_place).
+    The text is that of _dataset_chunks. A path is written in place (see
+    _write_in_place).
     """
     arr = np.asarray(data, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise DomainError("data must be an (n, 2) array of pairs")
-    blocks = (
-        "".join(f"{a!r},{b!r}\n" for a, b in arr[i:i + _CSV_ROWS].tolist())
-        for i in range(0, arr.shape[0], _CSV_ROWS)
-    )
-    _write_in_place(file, itertools.chain(("x1,x2\n",), blocks))
+    _write_in_place(file, _dataset_chunks(arr))
 
 
 def read_dataset(file) -> np.ndarray:

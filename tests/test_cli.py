@@ -671,6 +671,54 @@ def test_output_flag_writes_files(tmp_path, dataset, capsys, command):
     assert fresh.stat().st_mode == reference.stat().st_mode
 
 
+def _count_writes(monkeypatch):
+    """The files cli._write_in_place is called with, which it still writes."""
+    files, write = [], cli._write_in_place
+
+    def counting(file, chunks):
+        files.append(file)
+        write(file, chunks)
+
+    monkeypatch.setattr(cli, "_write_in_place", counting)
+    return files
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("argv, expected", [
+    *((OUTPUT_ARGVS[command], 0) for command in sorted(OUTPUT_ARGVS)),
+    (("verify-prior", "flat", "--grid-beta=-1:1:3"), 4),
+], ids=[*sorted(OUTPUT_ARGVS), "verify-prior-fails"])
+def test_every_command_writes_its_result_once(tmp_path, dataset, capsys, monkeypatch, argv,
+                                              expected, to_file):
+    target = tmp_path / "out"
+    argv = [arg.format(data=dataset) for arg in argv] + (["--output", str(target)] * to_file)
+    files = _count_writes(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (expected, "")
+    assert len(files) == 1
+    if to_file:
+        assert files == [str(target)] and out == "" and target.stat().st_size > 0
+    else:
+        assert not isinstance(files[0], str) and out != ""
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output"])
+@pytest.mark.parametrize("argv, expected", [
+    (("stats", "--input", "{collinear}"), 3),
+    (("stats", "--input", "{missing}"), 3),
+    (("sample", "--n", "50", "--seed", "2", "--sigma2", "1e308"), 4),
+], ids=["degenerate", "unreadable", "overflowing_draw"])
+def test_an_error_exit_writes_nothing(tmp_path, capsys, monkeypatch, argv, expected, to_file):
+    collinear, target = tmp_path / "collinear.csv", tmp_path / "out"
+    collinear.write_text("x1,x2\n1,2\n2,4\n3,6\n4,8\n")
+    names = {"collinear": collinear, "missing": tmp_path / "missing.csv"}
+    argv = [arg.format(**names) for arg in argv] + (["--output", str(target)] * to_file)
+    files = _count_writes(monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, files) == (expected, "", [])
+    assert err.startswith("error:") and not target.exists()
+
+
 def test_output_through_a_symlink_writes_its_target(tmp_path, dataset, capsys):
     argv = ("interval", "--input", str(dataset), "--param", "beta")
     _, out, _ = run_cli(capsys, *argv)

@@ -2,10 +2,12 @@
 
 Every request either succeeds (exit 0, finite JSON, an interval with
 lo < hi and its nominal mass) or fails with a documented exit code and
-exactly one error: line, never with a traceback. The data reach the CLI
-as the CSV its users write, over column scales up to 2^+-1000, offsets up
-to 1e300 and correlations up to +-(1 - 1e-11); ordinary data are drawn
-three times as often as extreme data, so most requests succeed.
+exactly one error: line, never with a traceback. It exits 3 exactly when
+the library's own statistics find the dataset degenerate; every level
+drawn here is resolvable, so no other exit-3 cause arises. The data reach
+the CLI as the CSV its users write, over column scales up to 2^+-1000,
+offsets up to 1e300 and correlations up to +-(1 - 1e-11); ordinary data
+are drawn three times as often as extreme data, so most requests succeed.
 """
 
 import contextlib
@@ -20,8 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from bvnprior.cli import main
+from bvnprior.errors import DegenerateDataError
 from bvnprior.interval import KINDS
-from bvnprior.model import write_dataset
+from bvnprior.model import read_dataset, sufficient_stats, write_dataset
 
 PARAMS = ("beta", "theta", "w", "eta")
 LEVELS = (1e-12, 0.5, 0.95, 1.0 - 1e-9, 1.0 - 1e-15)
@@ -73,6 +76,17 @@ def _run(argv, stdin_text):
     return code, out.getvalue(), err.getvalue()
 
 
+def _is_degenerate(csv_text):
+    """Whether sufficient_stats finds the dataset degenerate; a float-range failure is not."""
+    try:
+        sufficient_stats(read_dataset(io.StringIO(csv_text)))
+    except DegenerateDataError:
+        return True
+    except ArithmeticError:
+        return False
+    return False
+
+
 def _reject_constant(name):
     raise AssertionError(f"JSON holds {name}")
 
@@ -81,8 +95,10 @@ def _assert_contract(request):
     argv = [request["command"], "--input", "-", "--param", request["param"]]
     if request["command"] == "interval":
         argv += ["--kind", request["kind"], "--level", repr(request["level"])]
-    code, out, err = _run(argv, _dataset_csv(request["columns"], request["n"], request["seed"]))
+    csv_text = _dataset_csv(request["columns"], request["n"], request["seed"])
+    code, out, err = _run(argv, csv_text)
     assert code in (0, 3, 4), (code, err)
+    assert (code == 3) == _is_degenerate(csv_text), (code, err)
     if code:
         assert out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: ") and err.endswith("\n"), err

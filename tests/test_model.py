@@ -321,7 +321,7 @@ def test_sufficient_stats_raises_on_float_overflow(data):
         sufficient_stats(np.array(data))
 
 
-@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "a", None])
 @pytest.mark.parametrize("cls, fields", [
     (OriginalParams, dict(mu1=0.3, mu2=-1.1, sigma1=1.2, sigma2=0.7, rho=0.4)),
     (OrthogonalParams, dict(mu1=0.3, mu2=-1.1, beta=0.8, theta=1.4, eta=0.7)),
@@ -334,16 +334,27 @@ def test_params_reject_non_finite_fields(cls, fields, value):
 
 @pytest.mark.parametrize("changes, error, message", [
     (dict(n=2), DomainError, "n >= 3"),
+    (dict(n=10.5), DomainError, "n >= 3"),
+    (dict(n=math.nan), DomainError, "n >= 3"),
+    (dict(n=math.inf), DomainError, "n >= 3"),
+    (dict(n=10.0), DomainError, "n >= 3"),
     (dict(s11=0.0), DegenerateDataError, "s11 must be positive"),
     (dict(s11=-9.0), DegenerateDataError, "s11 must be positive"),
     (dict(s22=-5.0), DomainError, "cannot be negative"),
     (dict(s22_1=-4.0), DomainError, "cannot be negative"),
     (dict(s12=7.0), DomainError, r"s12\^2 exceeds s11 \* s22"),
-], ids=["n", "s11-zero", "s11-negative", "s22", "s22_1", "s12"])
+], ids=["n", "n-fraction", "n-nan", "n-inf", "n-float", "s11-zero", "s11-negative", "s22",
+        "s22_1", "s12"])
 def test_sufficient_stats_checks_each_field(changes, error, message):
     fields = dict(n=10, xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0, s22_1=4.0)
     with pytest.raises(error, match=message):
         SufficientStats(**{**fields, **changes})
+
+
+def test_sufficient_stats_stores_n_as_a_python_int():
+    st = SufficientStats(n=np.int64(10), xbar1=0.0, xbar2=0.0, s11=9.0, s22=5.0, s12=3.0,
+                         s22_1=4.0)
+    assert type(st.n) is int and st.n == 10
 
 
 @pytest.mark.parametrize("shape", [(6,), (5, 3), (3, 2, 2), (4, 1)])
